@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 class StructureError(ValueError):
@@ -243,13 +245,25 @@ class StructureBundle:
     def has_virtual(self) -> bool:
         return self.virtual is not None
 
-    def operations(self) -> frozenset:
-        ops = {"up", "dn", "up_inv", "dn_inv"}
-        if self.has_singular:
-            ops |= {"hup", "hdn"}
-        if self.has_virtual:
-            ops |= {"v", "v_inv"}
-        return frozenset(ops)
+    @cached_property
+    def ops(self) -> Mapping[str, tuple]:
+        """The bundle's operations as 0-based tables by name, built once.
+
+        Always `up`, `dn` and their column inverses `up_inv`, `dn_inv`
+        (axiom 0): up_inv[up[x][y]][y] == x.  `hup`, `hdn` only when the
+        bundle is singular, and the permutations `v`, `v_inv` only when it
+        is virtual; an absent extension has no entries.
+        """
+        ops = {"up": _zero_based(self.table.up), "dn": _zero_based(self.table.dn),
+               "up_inv": _zero_based(column_inverse(self.table.up)),
+               "dn_inv": _zero_based(column_inverse(self.table.dn))}
+        if self.singular is not None:
+            ops["hup"] = _zero_based(self.singular.hup)
+            ops["hdn"] = _zero_based(self.singular.hdn)
+        if self.virtual is not None:
+            ops["v"] = tuple(x - 1 for x in self.virtual.v)
+            ops["v_inv"] = tuple(x - 1 for x in perm_inverse(self.virtual.v))
+        return MappingProxyType(ops)
 
     def with_trivial_extensions(self) -> "StructureBundle":
         """Fill absent extensions with the trivial ones."""
@@ -258,37 +272,36 @@ class StructureBundle:
         return StructureBundle(self.table, singular, virtual)
 
 
+# the extension that carries each optional operation
+EXTENSION_OF = {"hup": "singular", "hdn": "singular",
+                "v": "virtual", "v_inv": "virtual"}
+
+
 def evaluate(bundle: StructureBundle, op: str, x: int, y: Optional[int] = None) -> int:
     """Evaluate one operation of the bundle at (x, y), or at x for v ops.
 
-    up_inv / dn_inv are the column inverses guaranteed by axiom 0:
+    A checked, 1-based view of `bundle.ops`.  up_inv / dn_inv are the
+    column inverses guaranteed by axiom 0:
     evaluate(b, 'up_inv', evaluate(b, 'up', x, y), y) == x.
     """
-    t = bundle.table
-    n = t.n
+    n = bundle.n
     if not 1 <= x <= n or (y is not None and not 1 <= y <= n):
         raise ValueError(f"element out of range 1..{n}")
+    table = bundle.ops.get(op)
+    if table is None:
+        if op in EXTENSION_OF:
+            raise OperationUnavailable(f"bundle has no {EXTENSION_OF[op]} extension")
+        raise ValueError(f"unknown operation {op!r}")
     if op in ("v", "v_inv"):
-        if not bundle.has_virtual:
-            raise OperationUnavailable("bundle has no virtual extension")
-        v = bundle.virtual.v
-        return v[x - 1] if op == "v" else v.index(x) + 1
+        return table[x - 1] + 1
     if y is None:
         raise ValueError(f"operation {op!r} is binary")
-    if op == "up":
-        return t.up[x - 1][y - 1]
-    if op == "dn":
-        return t.dn[x - 1][y - 1]
-    if op == "up_inv":
-        return next(w for w in range(1, n + 1) if t.up[w - 1][y - 1] == x)
-    if op == "dn_inv":
-        return next(w for w in range(1, n + 1) if t.dn[w - 1][y - 1] == x)
-    if op in ("hup", "hdn"):
-        if not bundle.has_singular:
-            raise OperationUnavailable("bundle has no singular extension")
-        s = bundle.singular
-        return (s.hup if op == "hup" else s.hdn)[x - 1][y - 1]
-    raise ValueError(f"unknown operation {op!r}")
+    return table[x - 1][y - 1] + 1
+
+
+def _binary_tables(ops: Mapping[str, tuple]) -> list:
+    """The forward binary tables present in a compiled form."""
+    return [ops[name] for name in ("up", "dn", "hup", "hdn") if name in ops]
 
 
 def subclosure(bundle: StructureBundle, seed: Iterable[int]) -> frozenset:
@@ -298,27 +311,26 @@ def subclosure(bundle: StructureBundle, seed: Iterable[int]) -> frozenset:
     inverses, and v-closure implies closure under v inverse, so only forward
     operations need iterating.
     """
-    closed = set(seed)
+    binops = _binary_tables(bundle.ops)
+    v = bundle.ops.get("v")
+    closed = {x - 1 for x in seed}
     frontier = list(closed)
-    binops = [bundle.table.up, bundle.table.dn]
-    if bundle.has_singular:
-        binops += [bundle.singular.hup, bundle.singular.hdn]
     while frontier:
         x = frontier.pop()
         others = list(closed)
         for y in others:
             for t in binops:
                 for a, b in ((x, y), (y, x)):
-                    z = t[a - 1][b - 1]
+                    z = t[a][b]
                     if z not in closed:
                         closed.add(z)
                         frontier.append(z)
-        if bundle.has_virtual:
-            z = bundle.virtual.v[x - 1]
+        if v is not None:
+            z = v[x]
             if z not in closed:
                 closed.add(z)
                 frontier.append(z)
-    return frozenset(closed)
+    return frozenset(x + 1 for x in closed)
 
 
 def automorphisms(bundle: StructureBundle) -> list:
@@ -327,20 +339,18 @@ def automorphisms(bundle: StructureBundle) -> list:
     Brute force over S_n; orders of interest are at most 6.
     """
     n = bundle.n
-    tables = [bundle.table.up, bundle.table.dn]
-    if bundle.has_singular:
-        tables += [bundle.singular.hup, bundle.singular.hdn]
+    tables = _binary_tables(bundle.ops)
+    v = bundle.ops.get("v")
     found = []
-    for images in itertools.permutations(range(1, n + 1)):
+    for images in itertools.permutations(range(n)):
         ok = all(
-            images[t[x][y] - 1] == t[images[x] - 1][images[y] - 1]
+            images[t[x][y]] == t[images[x]][images[y]]
             for t in tables for x in range(n) for y in range(n)
         )
-        if ok and bundle.has_virtual:
-            v = bundle.virtual.v
-            ok = all(images[v[x] - 1] == v[images[x] - 1] for x in range(n))
+        if ok and v is not None:
+            ok = all(images[v[x]] == v[images[x]] for x in range(n))
         if ok:
-            found.append(tuple(images))
+            found.append(tuple(x + 1 for x in images))
     return found
 
 
@@ -360,6 +370,21 @@ def perm_from_cycles(n: int, cycles: Sequence[Sequence[int]]) -> tuple:
     if sorted(images) != list(range(1, n + 1)):
         raise ValueError("cycles do not describe a permutation")
     return tuple(images)
+
+
+def column_inverse(t: Sequence[Sequence[int]]) -> tuple:
+    """The 1-based table inv with inv[x-1][y-1] = w exactly when
+    t[w-1][y-1] = x; defined when every column of t is a permutation."""
+    n = len(t)
+    inv = [[0] * n for _ in range(n)]
+    for w in range(n):
+        for y in range(n):
+            inv[t[w][y] - 1][y] = w + 1
+    return tuple(tuple(row) for row in inv)
+
+
+def _zero_based(t: Sequence[Sequence[int]]) -> tuple:
+    return tuple(tuple(x - 1 for x in row) for row in t)
 
 
 def perm_inverse(p: Sequence[int]) -> tuple:
@@ -425,6 +450,13 @@ def format_table_text(bundle: StructureBundle) -> str:
     return text + "\n"
 
 
+def _int_tokens(line: str) -> tuple:
+    try:
+        return tuple(int(t) for t in line.split())
+    except ValueError:
+        raise StructureError(f"non-integer entry in {line.strip()!r}") from None
+
+
 def parse_table_text(text: str) -> StructureBundle:
     """Parse the table text format.
 
@@ -443,6 +475,8 @@ def parse_table_text(text: str) -> StructureBundle:
         n = int(head[1])
     except ValueError:
         raise StructureError(f"bad order {head[1]!r}") from None
+    if n < 1:
+        raise StructureError(f"order must be at least 1, got {n}")
     flags = set(head[2:])
     if not flags <= {"singular", "virtual"}:
         raise StructureError(f"unknown flags {sorted(flags - {'singular', 'virtual'})}")
@@ -452,9 +486,9 @@ def parse_table_text(text: str) -> StructureBundle:
         if not ln:
             continue
         if ln.startswith("v:"):
-            v = tuple(int(t) for t in ln[2:].split())
+            v = _int_tokens(ln[2:])
             continue
-        rows.append(tuple(int(t) for t in ln.split()))
+        rows.append(_int_tokens(ln))
     want = 2 + (2 if "singular" in flags else 0)
     if len(rows) != want * n:
         raise StructureError(f"expected {want * n} table rows, got {len(rows)}")

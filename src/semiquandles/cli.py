@@ -116,6 +116,8 @@ def _cmd_verify(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.n is None:
         raise UsageError("enumerate requires --n")
+    if args.n < 1:
+        raise InvalidInput(f"--n must be at least 1, got {args.n}")
     found = []
     kw = {} if args.budget is None else {"node_budget": args.budget}
     stream = enumerate_semiquandles(args.n, up_to_iso=args.iso, **kw)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .algebra import (SemiquandleTable, SingularExtension, StructureBundle,
                       check_semiquandle, check_singular, automorphisms,
-                      perm_compose, perm_inverse)
+                      column_inverse, perm_compose, perm_inverse)
 
 
 class ResourceBudgetExceeded(RuntimeError):
@@ -56,24 +56,12 @@ class CanonicalForm:
         return cls(*best)
 
 
-def _derive_dn(up: tuple, n: int):
+def _derive_dn(up: tuple, n: int) -> tuple:
     """dn forced by axiom ii: dn[x][y] is the up-column preimage of x at
-    column up[y][x]; None when some column lacks the preimage."""
-    cols = []
-    for j in range(n):
-        col = {}
-        for i in range(n):
-            col[up[i][j]] = i + 1
-        if len(col) != n:
-            return None
-        cols.append(col)
-    dn = []
-    for x in range(n):
-        row = []
-        for y in range(n):
-            row.append(cols[up[y][x] - 1][x + 1])
-        dn.append(tuple(row))
-    return tuple(dn)
+    column up[y][x].  The columns of up are permutations by construction."""
+    up_inv = column_inverse(up)
+    return tuple(tuple(up_inv[x][up[y][x] - 1] for y in range(n))
+                 for x in range(n))
 
 
 def enumerate_semiquandles(n: int, up_to_iso: bool = False,
@@ -97,7 +85,7 @@ def enumerate_semiquandles(n: int, up_to_iso: bool = False,
             raise ResourceBudgetExceeded(nodes, found)
         up = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
         dn = _derive_dn(up, n)
-        if dn is None or check_semiquandle(up, dn):
+        if check_semiquandle(up, dn):
             continue
         table = SemiquandleTable(up, dn)
         if up_to_iso:
@@ -109,21 +97,16 @@ def enumerate_semiquandles(n: int, up_to_iso: bool = False,
         yield table
 
 
-def _derive_hdn(table: SemiquandleTable, hup: tuple):
-    """hdn forced by axiom hi: up(hdn(y,x), hup(x,y)) = hup(dn(y,x), up(x,y))."""
+def _derive_hdn(table: SemiquandleTable, up_inv: tuple, hup: tuple) -> tuple:
+    """hdn forced by axiom hi: up(hdn(y,x), hup(x,y)) = hup(dn(y,x), up(x,y)),
+    solved through up_inv, the column inverse of the table's up."""
     n = table.n
     up, dn = table.up, table.dn
-    inv_col = []
-    for j in range(n):
-        col = {}
-        for i in range(n):
-            col[up[i][j]] = i + 1
-        inv_col.append(col)
     hdn = [[0] * n for _ in range(n)]
     for x in range(n):
         for y in range(n):
             target = hup[dn[y][x] - 1][up[x][y] - 1]
-            hdn[y][x] = inv_col[hup[x][y] - 1][target]
+            hdn[y][x] = up_inv[target - 1][hup[x][y] - 1]
     return tuple(tuple(row) for row in hdn)
 
 
@@ -136,6 +119,7 @@ def enumerate_singular_extensions(table: SemiquandleTable,
     for n <= 3 and budget-guarded beyond.
     """
     n = table.n
+    up_inv = column_inverse(table.up)
     nodes = 0
     found = 0
     values = range(1, n + 1)
@@ -144,7 +128,7 @@ def enumerate_singular_extensions(table: SemiquandleTable,
         if nodes > node_budget:
             raise ResourceBudgetExceeded(nodes, found)
         hup = tuple(flat[i * n:(i + 1) * n] for i in range(n))
-        hdn = _derive_hdn(table, hup)
+        hdn = _derive_hdn(table, up_inv, hup)
         if check_singular(table.up, table.dn, hup, hdn):
             continue
         found += 1

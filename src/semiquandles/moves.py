@@ -6,17 +6,18 @@ singular slide sR2, and the flat-flat-singular triangle sR3.  Singular
 crossings are never created or removed, so sR2/sR3 exist only as
 rewrites while the R1/R2 moves also insert and delete crossings.
 
-A triangle or slide site is matched against a frozen table of sound
+A triangle or slide site is matched against a table of sound
 configurations.  Soundness of a configuration means: the multiset of
 boundary colorings (strand input and output colors admitting a
 consistent internal coloring) is identical on both sides of the
 rewrite, for every valid structure bundle, which makes the coloring
-sets of the two codes correspond bijectively.  The table was produced
-by exhaustive search over all role/order assignments, checked against
-a diverse set of bundles, and the test suite re-verifies every entry
-the same way.  The flat-flat-virtual triangle is the forbidden
-move: no role assignment for it is sound, and `apply_forbidden` exposes
-it separately so tests can demonstrate that it changes invariants.
+sets of the two codes correspond bijectively.  The triangle table is
+generated from a two-part rule (see `_sound`), and the test suite
+re-derives it by exhaustive search over all role/order assignments,
+checked against a diverse set of bundles.  The flat-flat-virtual
+triangle is the forbidden move: no role assignment for it is sound,
+and `apply_forbidden` exposes it separately so tests can demonstrate
+that it changes invariants.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ class MoveSpec:
     """One applicable move: id, direction, site, and oriented variant.
 
     Sites are tuples of (component index, pass index) positions: for
-    inserts, the semiarc positions receiving each inserted strand
-    segment; for deletes and rewrites, the start position of each
-    matched two-pass segment.
+    inserts, the positions receiving each inserted strand segment, before
+    the pass at that index (index len(component) appends); for deletes
+    and rewrites, the start position of each matched two-pass segment.
     """
 
     move: str
@@ -90,68 +91,34 @@ _INSERTS = {
 # crossing kinds at A=(strand0,strand1), B=(strand0,strand2),
 # C=(strand1,strand2); firsts says per strand which of its two
 # crossings it meets first; prims says per crossing which strand takes
-# the sup (or v+) role.  The list below is exactly the set of sound
-# configurations found by exhaustive boundary-solution search.
-
-_SOUND_TRIANGLES = """
-FFF:000:000 FFF:000:111 FFF:001:011 FFF:001:100 FFF:010:010 FFF:010:101
-FFF:011:001 FFF:011:110 FFF:100:001 FFF:100:110 FFF:101:010 FFF:101:101
-FFF:110:011 FFF:110:100 FFF:111:000 FFF:111:111 SFF:000:000 SFF:000:111
-SFF:001:011 SFF:001:100 SFF:010:010 SFF:010:101 SFF:011:001 SFF:011:110
-SFF:100:001 SFF:100:110 SFF:101:010 SFF:101:101 SFF:110:011 SFF:110:100
-SFF:111:000 SFF:111:111 FSF:000:000 FSF:000:111 FSF:001:011 FSF:001:100
-FSF:010:010 FSF:010:101 FSF:011:001 FSF:011:110 FSF:100:001 FSF:100:110
-FSF:101:010 FSF:101:101 FSF:110:011 FSF:110:100 FSF:111:000 FSF:111:111
-FFS:000:000 FFS:000:111 FFS:001:011 FFS:001:100 FFS:010:010 FFS:010:101
-FFS:011:001 FFS:011:110 FFS:100:001 FFS:100:110 FFS:101:010 FFS:101:101
-FFS:110:011 FFS:110:100 FFS:111:000 FFS:111:111 VVV:000:000 VVV:000:001
-VVV:000:010 VVV:000:011 VVV:000:100 VVV:000:101 VVV:000:110 VVV:000:111
-VVV:001:000 VVV:001:001 VVV:001:010 VVV:001:011 VVV:001:100 VVV:001:101
-VVV:001:110 VVV:001:111 VVV:010:000 VVV:010:001 VVV:010:010 VVV:010:011
-VVV:010:100 VVV:010:101 VVV:010:110 VVV:010:111 VVV:011:000 VVV:011:001
-VVV:011:010 VVV:011:011 VVV:011:100 VVV:011:101 VVV:011:110 VVV:011:111
-VVV:100:000 VVV:100:001 VVV:100:010 VVV:100:011 VVV:100:100 VVV:100:101
-VVV:100:110 VVV:100:111 VVV:101:000 VVV:101:001 VVV:101:010 VVV:101:011
-VVV:101:100 VVV:101:101 VVV:101:110 VVV:101:111 VVV:110:000 VVV:110:001
-VVV:110:010 VVV:110:011 VVV:110:100 VVV:110:101 VVV:110:110 VVV:110:111
-VVV:111:000 VVV:111:001 VVV:111:010 VVV:111:011 VVV:111:100 VVV:111:101
-VVV:111:110 VVV:111:111 FVV:000:000 FVV:000:001 FVV:000:010 FVV:000:011
-FVV:000:100 FVV:000:101 FVV:000:110 FVV:000:111 FVV:001:000 FVV:001:001
-FVV:001:010 FVV:001:011 FVV:001:100 FVV:001:101 FVV:001:110 FVV:001:111
-FVV:010:000 FVV:010:001 FVV:010:010 FVV:010:011 FVV:010:100 FVV:010:101
-FVV:010:110 FVV:010:111 FVV:011:000 FVV:011:001 FVV:011:010 FVV:011:011
-FVV:011:100 FVV:011:101 FVV:011:110 FVV:011:111 FVV:100:000 FVV:100:001
-FVV:100:010 FVV:100:011 FVV:100:100 FVV:100:101 FVV:100:110 FVV:100:111
-FVV:101:000 FVV:101:001 FVV:101:010 FVV:101:011 FVV:101:100 FVV:101:101
-FVV:101:110 FVV:101:111 FVV:110:000 FVV:110:001 FVV:110:010 FVV:110:011
-FVV:110:100 FVV:110:101 FVV:110:110 FVV:110:111 FVV:111:000 FVV:111:001
-FVV:111:010 FVV:111:011 FVV:111:100 FVV:111:101 FVV:111:110 FVV:111:111
-VFV:000:000 VFV:000:001 VFV:000:010 VFV:000:011 VFV:000:100 VFV:000:101
-VFV:000:110 VFV:000:111 VFV:001:000 VFV:001:001 VFV:001:010 VFV:001:011
-VFV:001:100 VFV:001:101 VFV:001:110 VFV:001:111 VFV:010:000 VFV:010:001
-VFV:010:010 VFV:010:011 VFV:010:100 VFV:010:101 VFV:010:110 VFV:010:111
-VFV:011:000 VFV:011:001 VFV:011:010 VFV:011:011 VFV:011:100 VFV:011:101
-VFV:011:110 VFV:011:111 VFV:100:000 VFV:100:001 VFV:100:010 VFV:100:011
-VFV:100:100 VFV:100:101 VFV:100:110 VFV:100:111 VFV:101:000 VFV:101:001
-VFV:101:010 VFV:101:011 VFV:101:100 VFV:101:101 VFV:101:110 VFV:101:111
-VFV:110:000 VFV:110:001 VFV:110:010 VFV:110:011 VFV:110:100 VFV:110:101
-VFV:110:110 VFV:110:111 VFV:111:000 VFV:111:001 VFV:111:010 VFV:111:011
-VFV:111:100 VFV:111:101 VFV:111:110 VFV:111:111 VVF:000:000 VVF:000:001
-VVF:000:010 VVF:000:011 VVF:000:100 VVF:000:101 VVF:000:110 VVF:000:111
-VVF:001:000 VVF:001:001 VVF:001:010 VVF:001:011 VVF:001:100 VVF:001:101
-VVF:001:110 VVF:001:111 VVF:010:000 VVF:010:001 VVF:010:010 VVF:010:011
-VVF:010:100 VVF:010:101 VVF:010:110 VVF:010:111 VVF:011:000 VVF:011:001
-VVF:011:010 VVF:011:011 VVF:011:100 VVF:011:101 VVF:011:110 VVF:011:111
-VVF:100:000 VVF:100:001 VVF:100:010 VVF:100:011 VVF:100:100 VVF:100:101
-VVF:100:110 VVF:100:111 VVF:101:000 VVF:101:001 VVF:101:010 VVF:101:011
-VVF:101:100 VVF:101:101 VVF:101:110 VVF:101:111 VVF:110:000 VVF:110:001
-VVF:110:010 VVF:110:011 VVF:110:100 VVF:110:101 VVF:110:110 VVF:110:111
-VVF:111:000 VVF:111:001 VVF:111:010 VVF:111:011 VVF:111:100 VVF:111:101
-VVF:111:110 VVF:111:111
-"""
+# the sup (or v+) role.
 
 _TRIANGLE_MOVE = {"FFF": "fR3", "SFF": "sR3", "FSF": "sR3", "FFS": "sR3",
                   "VVV": "vR3", "FVV": "mixed", "VFV": "mixed", "VVF": "mixed"}
+
+_BITS = tuple(itertools.product((0, 1), repeat=3))
+
+
+def _triangle_tokens(families, keep) -> str:
+    """Space-separated kinds:firsts:prims tokens of the configurations
+    of the families that keep(kinds, firsts, prims) accepts, firsts and
+    prims as bit triples."""
+    return " ".join(f"{k}:{f0}{f1}{f2}:{p0}{p1}{p2}"
+                    for k in families
+                    for f0, f1, f2 in _BITS for p0, p1, p2 in _BITS
+                    if keep(k, (f0, f1, f2), (p0, p1, p2)))
+
+
+def _sound(kinds: str, f: tuple, p: tuple) -> bool:
+    """Every configuration of a family with a virtual crossing is sound;
+    one of flat and singular crossings exactly when p0^p1 = f1^f2 and
+    p0^p2 = f0^f2 (f the firsts, p the prims)."""
+    return "V" in kinds or (p[0] ^ p[1] == f[1] ^ f[2] and p[0] ^ p[2] == f[0] ^ f[2])
+
+
+# exactly the sound configurations of the catalog's families; the test
+# suite re-derives the set by exhaustive boundary-solution search
+_SOUND_TRIANGLES = _triangle_tokens(_TRIANGLE_MOVE, _sound)
 
 # the two sides of the direct singular slide: the flat crossing moves
 # from before the singular crossing to after it on both strands
@@ -236,11 +203,7 @@ _REWRITES.update(_expand_table(_slide_entries(_SLIDE_SIDES, "sR2"), "slide"))
 # forbidden flat-flat-virtual triangles, every role/order assignment;
 # deliberately not merged into _REWRITES
 _FORBIDDEN = _expand_table(
-    ((move, tok, strands) for move, tok, strands in _triangle_entries(
-        " ".join(f"{k}:{f0}{f1}{f2}:{p0}{p1}{p2}"
-                 for k in ("FFV", "FVF", "VFF")
-                 for f0 in "01" for f1 in "01" for f2 in "01"
-                 for p0 in "01" for p1 in "01" for p2 in "01"))),
+    _triangle_entries(_triangle_tokens(("FFV", "FVF", "VFF"), lambda *_: True)),
     "swap")
 
 _REVERSE_SLIDE = _expand_table(
@@ -382,15 +345,13 @@ def _insert(code: PassCode, m: MoveSpec) -> PassCode:
         raise MoveError(f"unknown insert {m.move}/{m.variant}")
     if len(m.site) != len(template):
         raise MoveError(f"{m.move} needs {len(template)} sites")
-    positions = _semiarc_positions(code)
-    for pos in m.site:
-        if pos not in positions:
-            raise MoveError(f"no semiarc at {pos}")
-    if len(set(m.site)) != len(m.site):
-        raise MoveError("insert sites must be distinct")
+    for ci, i in m.site:
+        if not (0 <= ci < len(code.components) and 0 <= i <= len(code.components[ci])):
+            raise MoveError(f"no semiarc at {(ci, i)}")
     ids = _fresh_ids(code, template)
     comps = [list(c) for c in code.components]
-    order = sorted(range(len(template)), key=lambda k: m.site[k], reverse=True)
+    # segments sharing a site are laid down in template order
+    order = sorted(range(len(template)), key=lambda k: (m.site[k], k), reverse=True)
     for k in order:
         ci, i = m.site[k]
         passes = [Pass(kind, ids[ph][1], role) for ph, kind, role in template[k]]
@@ -477,7 +438,20 @@ def inverse_of(code_after: PassCode, m: MoveSpec) -> MoveSpec:
     for ci, i in m.site:
         shift = 2 * sum(1 for cj, j in m.site if cj == ci and j < i)
         sites.append((ci, i - shift))
-    return MoveSpec(m.move, "insert", tuple(sites), m.variant)
+    variant = m.variant
+    if len(sites) == 2 and sites[0] == sites[1] and m.site[0] > m.site[1]:
+        # adjacent segments collapse onto one site, where _insert lays
+        # them in template order: take the variant listing them reversed
+        variant = _swapped_variant(m.move, m.variant)
+    return MoveSpec(m.move, "insert", tuple(sites), variant)
+
+
+def _swapped_variant(move: str, variant: str) -> str:
+    """The variant of a two-strand insert whose template lists the same
+    segments in the other order."""
+    want = _canonical_descriptor(_INSERTS[(move, variant)][::-1])
+    return next(v for (mv, v), template in sorted(_INSERTS.items())
+                if mv == move and _canonical_descriptor(template) == want)
 
 
 def applicable_moves(code: PassCode) -> list:

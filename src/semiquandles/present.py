@@ -6,10 +6,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import StructureBundle, evaluate, subclosure
-
-BINARY_KINDS = ("up", "dn", "hup", "hdn")
-KINDS = BINARY_KINDS + ("v",)
+from .algebra import EXTENSION_OF, StructureBundle, subclosure
 
 
 class PresentationError(ValueError):
@@ -155,56 +152,55 @@ def polynomial_text(image_sizes: Sequence[int]) -> str:
 
 
 def _require_ops(p: Presentation, bundle: StructureBundle) -> None:
-    missing = []
-    used = p.kinds_used()
-    if ("hup" in used or "hdn" in used) and not bundle.has_singular:
-        missing.append("singular")
-    if "v" in used and not bundle.has_virtual:
-        missing.append("virtual")
+    missing = sorted({EXTENSION_OF[k] for k in p.kinds_used() if k not in bundle.ops})
     if missing:
         raise MissingExtensionError(
             f"presentation needs {' and '.join(missing)} extension(s)")
 
 
-def _propagate(p, bundle, assignment):
-    """Run forward/backward propagation to a fixpoint.
+def _compile(p: Presentation, bundle: StructureBundle) -> list:
+    """Each relation as (forward table, inverse table or None, labels),
+    the tables taken from the bundle's 0-based compiled form.
 
-    Returns False on contradiction.  up/dn/v relations propagate both ways
-    (axiom 0 / bijectivity of v); hat relations only forward, since no
-    inverse is axiomatized for them.
+    up/dn/v relations carry their inverse (axiom 0 / bijectivity of v);
+    hat relations carry None, since no inverse is axiomatized for them.
     """
+    return [(bundle.ops[rel.kind], bundle.ops.get(rel.kind + "_inv"), rel.labels())
+            for rel in p.relations]
+
+
+def _propagate(relations, assignment):
+    """Run forward/backward propagation to a fixpoint over compiled
+    relations, with 0-based values.  Returns False on contradiction."""
     changed = True
     while changed:
         changed = False
-        for rel in p.relations:
-            k = rel.kind
-            if k == "v":
-                (a,) = rel.args
-                c = rel.result
+        for forward, inverse, labels in relations:
+            if len(labels) == 2:        # v(a) = c
+                a, c = labels
                 av, cv = assignment.get(a), assignment.get(c)
                 if av is not None:
-                    want = evaluate(bundle, "v", av)
+                    want = forward[av]
                     if cv is None:
                         assignment[c] = want
                         changed = True
                     elif cv != want:
                         return False
                 elif cv is not None:
-                    assignment[a] = evaluate(bundle, "v_inv", cv)
+                    assignment[a] = inverse[cv]
                     changed = True
                 continue
-            a, b = rel.args
-            c = rel.result
+            a, b, c = labels
             av, bv, cv = assignment.get(a), assignment.get(b), assignment.get(c)
             if av is not None and bv is not None:
-                want = evaluate(bundle, k, av, bv)
+                want = forward[av][bv]
                 if cv is None:
                     assignment[c] = want
                     changed = True
                 elif cv != want:
                     return False
-            elif cv is not None and bv is not None and k in ("up", "dn"):
-                assignment[a] = evaluate(bundle, k + "_inv", cv, bv)
+            elif cv is not None and bv is not None and inverse is not None:
+                assignment[a] = inverse[cv][bv]
                 changed = True
     return True
 
@@ -217,6 +213,7 @@ def colorings(p: Presentation, bundle: StructureBundle):
     """
     _require_ops(p, bundle)
     n = bundle.n
+    relations = _compile(p, bundle)
     occurrence = {g: 0 for g in p.generators}
     for rel in p.relations:
         for lab in rel.labels():
@@ -224,14 +221,14 @@ def colorings(p: Presentation, bundle: StructureBundle):
 
     def solve(assignment):
         work = dict(assignment)
-        if not _propagate(p, bundle, work):
+        if not _propagate(relations, work):
             return
         free = [g for g in p.generators if g not in work]
         if not free:
-            yield dict(work)
+            yield {g: val + 1 for g, val in work.items()}
             return
         branch = min(free, key=lambda g: (-occurrence[g], g))
-        for val in range(1, n + 1):
+        for val in range(n):
             work2 = dict(work)
             work2[branch] = val
             yield from solve(work2)

@@ -80,26 +80,25 @@ def _classical_crossings(code: PassCode) -> list:
     return out
 
 
-def _signed_difference(code, sign, resolved, base, probes) -> dict:
-    d = {}
-    fp_res = Fingerprint.of(resolved, probes)
-    fp_base = Fingerprint.of(base, probes)
-    d[fp_res] = d.get(fp_res, 0) + sign
-    d[fp_base] = d.get(fp_base, 0) - sign
-    return d
+def _resolution_sum(code: PassCode, resolve, base: PassCode, probes) -> FormalSum:
+    """Over each classical crossing d, add sign(d)*(fingerprint of
+    resolve(code, d) minus fingerprint of base)."""
+    crossings = _classical_crossings(code)
+    acc: dict = {}
+    for cid, sign in crossings:
+        fp = Fingerprint.of(resolve(code, cid), probes)
+        acc[fp] = acc.get(fp, 0) + sign
+    if crossings:
+        fp = Fingerprint.of(base, probes)
+        acc[fp] = acc.get(fp, 0) - sum(sign for _, sign in crossings)
+    return FormalSum.from_dict(acc)
 
 
 def s_sum(code: PassCode, probes) -> FormalSum:
     """Smoothing sum: over each classical crossing d, add
     sign(d)*(fingerprint of the smoothing at d minus fingerprint of the
     flattened code with a disjoint unknot)."""
-    acc: dict = {}
-    base = disjoint_unknot(flatten(code))
-    for cid, sign in _classical_crossings(code):
-        for fp, c in _signed_difference(code, sign, smooth_at(code, cid),
-                                        base, probes).items():
-            acc[fp] = acc.get(fp, 0) + c
-    return FormalSum.from_dict(acc)
+    return _resolution_sum(code, smooth_at, disjoint_unknot(flatten(code)), probes)
 
 
 def g_sum(code: PassCode, probes) -> FormalSum:
@@ -114,13 +113,7 @@ def g_sum(code: PassCode, probes) -> FormalSum:
     if lacking:
         raise MissingExtensionError(
             f"gluing sum needs singular extensions; probes {lacking} lack one")
-    acc: dict = {}
-    base = glue_kink(code)
-    for cid, sign in _classical_crossings(code):
-        for fp, c in _signed_difference(code, sign, glue_at(code, cid),
-                                        base, probes).items():
-            acc[fp] = acc.get(fp, 0) + c
-    return FormalSum.from_dict(acc)
+    return _resolution_sum(code, glue_at, glue_kink(code), probes)
 
 
 def _witnesses(label: str, a: FormalSum, b: FormalSum) -> list:

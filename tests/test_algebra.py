@@ -98,6 +98,28 @@ def test_evaluate_round_trips_inverses():
         assert evaluate(TS3, "v_inv", v) == x
 
 
+def test_compiled_operations_are_zero_based_tables_of_present_extensions():
+    for name in BUILTIN_BUNDLES:
+        b = builtin_bundle(name)
+        ops = b.ops
+        assert ops is b.ops
+        want = {"up", "dn", "up_inv", "dn_inv"}
+        blocks = {"up": b.table.up, "dn": b.table.dn}
+        if b.has_singular:
+            want |= {"hup", "hdn"}
+            blocks.update(hup=b.singular.hup, hdn=b.singular.hdn)
+        if b.has_virtual:
+            want |= {"v", "v_inv"}
+            assert [x + 1 for x in ops["v"]] == list(b.virtual.v)
+            assert all(ops["v_inv"][ops["v"][x]] == x for x in range(b.n))
+        assert set(ops) == want
+        for op, block in blocks.items():
+            assert ops[op] == tuple(tuple(x - 1 for x in row) for row in block)
+        for op in ("up", "dn"):
+            t, inv = ops[op], ops[op + "_inv"]
+            assert all(inv[t[x][y]][y] == x for x in range(b.n) for y in range(b.n))
+
+
 def test_evaluate_raises_for_absent_extensions():
     with pytest.raises(OperationUnavailable):
         evaluate(T4, "hup", 1, 1)

@@ -65,8 +65,33 @@ def test_unreadable_file_is_usage_error(capsys):
     assert rc == 2 and "cannot read" in err
 
 
+def test_verify_non_integer_entry_is_invalid_input(tmp_path, capsys):
+    for name, text in (("entry", "semiquandle 2\n1 x\n2 1\n\n1 1\n2 2\n"),
+                       ("v", "semiquandle 1 virtual\n1\n\n1\n\nv: a\n")):
+        f = tmp_path / f"{name}.txt"
+        f.write_text(text)
+        rc, out, err = run(capsys, "verify", "--table", str(f))
+        assert rc == 1 and out.startswith("invalid:") and "non-integer" in out
+        assert len((out + err).splitlines()) == 1
+
+
+def test_verify_order_zero_is_invalid_input(tmp_path, capsys):
+    f = tmp_path / "empty.txt"
+    f.write_text("semiquandle 0\n")
+    rc, out, err = run(capsys, "verify", "--table", str(f))
+    assert rc == 1 and out.startswith("invalid:") and not err
+    assert len(out.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # enumerate
+
+def test_enumerate_order_below_one_is_invalid_input(capsys):
+    for n in ("0", "-2"):
+        rc, out, err = run(capsys, "enumerate", "--n", n)
+        assert rc == 1 and not out
+        assert err.startswith("invalid input:") and len(err.splitlines()) == 1
+
 
 def test_enumerate_order_2(capsys):
     rc, out, _ = run(capsys, "enumerate", "--n", "2")
@@ -161,6 +186,12 @@ def test_moves_test_json_report(capsys):
     assert rc == 0
     report = json.loads(out)
     assert report["trials"] == 9 and report["failures"] == []
+
+
+def test_moves_test_undoes_a_delete_at_the_end_of_a_component(capsys):
+    # seed 37 draws an fR1 delete whose kink ends its component
+    rc, out, _ = run(capsys, "moves-test", "--trials", "18", "--seed", "37")
+    assert rc == 0 and "failures: 0\n" in out
 
 
 # ---------------------------------------------------------------------------

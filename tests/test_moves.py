@@ -229,6 +229,33 @@ def test_delete_then_inverse_restores_code_up_to_ids():
         assert canonical(back) == canonical(code), m
 
 
+def test_every_listed_delete_is_undone_by_its_inverse():
+    # the inverse of a delete that ends its component inserts at the
+    # end; two adjacent segments on one component collapse onto one site
+    at_end = shared_site = 0
+    for seed in range(40):
+        for ncomp in (1, 2, 3):
+            code = random_code({"F": 3, "V": 2, "S": 1, "components": ncomp},
+                               seed=seed)
+            for m in applicable_moves(code):
+                if m.direction != "delete":
+                    continue
+                moved = apply_move(code, m)
+                inverse = inverse_of(moved, m)
+                back = apply_move(moved, inverse)
+                assert canonical(back) == canonical(code), (m, code.text())
+                at_end += any(i == len(moved.components[ci]) for ci, i in inverse.site)
+                shared_site += len(set(inverse.site)) < len(inverse.site)
+    assert at_end and shared_site
+
+
+def test_delete_at_the_end_of_a_component_restores_the_text():
+    code = parse_code("comp: F1.sup F2.sup F1.sub F2.sub F3.sup F3.sub\n")
+    m = MoveSpec("fR1", "delete", ((0, 4),), "sup_first")
+    moved = apply_move(code, m)
+    assert apply_move(moved, inverse_of(moved, m)) == code
+
+
 def test_rewrite_is_involutive_at_its_site():
     code = parse_code(
         "comp: F1.sup F2.sup\ncomp: F1.sub F3.sup\ncomp: F2.sub F3.sub\n")

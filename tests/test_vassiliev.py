@@ -112,3 +112,18 @@ def test_double_twist_pair_is_distinguished():
     terms = {tuple(w["term"]): (w["coefficient_k1"], w["coefficient_k2"])
              for w in r["witnesses"] if w["invariant"] == "G"}
     assert terms == {("2z + 2z^4",): (2, 0), ("2z + 6z^4",): (-2, 0)}
+
+
+def test_each_sum_fingerprints_its_base_once(monkeypatch):
+    calls = []
+    real = Fingerprint.of.__func__
+
+    def counted(cls, code, probes):
+        calls.append(code)
+        return real(cls, code, probes)
+    monkeypatch.setattr(Fingerprint, "of", classmethod(counted))
+    k = parse_code("comp: C1.over+ C2.under+ C3.over+ C4.under- C5.over+ "
+                   "C1.under+ C2.over+ C3.under+ C4.over- C5.under+\n")
+    distinguish(k, k, PROBES)
+    # per code and sum: five resolutions and one base
+    assert len(calls) == 2 * 2 * (5 + 1)
