@@ -24,7 +24,7 @@ class AxiomError(ValueError):
 
     def __init__(self, violations):
         self.violations = list(violations)
-        lines = ", ".join(f"{v.axiom}@{v.witness}" for v in self.violations[:6])
+        lines = ", ".join(map(str, self.violations[:6]))
         more = "" if len(self.violations) <= 6 else f" (+{len(self.violations) - 6} more)"
         super().__init__(f"axiom violations: {lines}{more}")
 
@@ -37,6 +37,19 @@ class OperationUnavailable(LookupError):
 class Violation:
     axiom: str
     witness: tuple
+
+    def __str__(self) -> str:
+        return f"{self.axiom}@{self.witness}"
+
+
+def _raise_for(report: list) -> None:
+    """Raise StructureError for a malformed block, else AxiomError for
+    any failed axiom; return when the report is empty."""
+    for v in report:
+        if v.axiom == "structure":
+            raise StructureError(str(v))
+    if report:
+        raise AxiomError(report)
 
 
 def _freeze(rows) -> tuple:
@@ -165,11 +178,7 @@ class SemiquandleTable:
     def __post_init__(self):
         object.__setattr__(self, "up", _freeze(self.up))
         object.__setattr__(self, "dn", _freeze(self.dn))
-        report = check_semiquandle(self.up, self.dn)
-        if any(v.axiom == "structure" for v in report):
-            raise StructureError(str(report[0]))
-        if report:
-            raise AxiomError(report)
+        _raise_for(check_semiquandle(self.up, self.dn))
 
     @property
     def n(self) -> int:
@@ -219,19 +228,15 @@ class StructureBundle:
         if self.singular is not None:
             if self.singular.n != self.table.n:
                 raise StructureError("singular extension order mismatch")
-            report = check_singular(self.table.up, self.table.dn,
-                                    self.singular.hup, self.singular.hdn)
-            if report:
-                raise AxiomError(report)
+            _raise_for(check_singular(self.table.up, self.table.dn,
+                                      self.singular.hup, self.singular.hdn))
         if self.virtual is not None:
             if self.virtual.n != self.table.n:
                 raise StructureError("virtual extension order mismatch")
             hup = self.singular.hup if self.singular else None
             hdn = self.singular.hdn if self.singular else None
-            report = check_virtual(self.table.up, self.table.dn,
-                                   self.virtual.v, hup, hdn)
-            if report:
-                raise AxiomError(report)
+            _raise_for(check_virtual(self.table.up, self.table.dn,
+                                     self.virtual.v, hup, hdn))
 
     @property
     def n(self) -> int:

@@ -118,6 +118,8 @@ def _cmd_enumerate(args) -> int:
         raise UsageError("enumerate requires --n")
     if args.n < 1:
         raise InvalidInput(f"--n must be at least 1, got {args.n}")
+    if args.budget is not None and args.budget < 0:
+        raise InvalidInput(f"--budget must be at least 0, got {args.budget}")
     found = []
     kw = {} if args.budget is None else {"node_budget": args.budget}
     stream = enumerate_semiquandles(args.n, up_to_iso=args.iso, **kw)

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from semiquandles.algebra import builtin_bundle, format_table_text
+from semiquandles.algebra import (StructureError, builtin_bundle,
+                                  format_table_text, parse_table_text)
 from semiquandles.cli import main
 
 T4_SING_TEXT = format_table_text(builtin_bundle("t4_sing"))
@@ -83,6 +84,22 @@ def test_verify_order_zero_is_invalid_input(tmp_path, capsys):
     assert len(out.splitlines()) == 1
 
 
+@pytest.mark.parametrize("text, witness", [
+    ("semiquandle 1 singular\n1\n\n1\n\n1\n\n1 1\n", "('hdn', 'row-length', 1)"),
+    ("semiquandle 2 virtual\n1 1\n2 2\n\n1 1\n2 2\n\nv: 1 1\n",
+     "('v', 'not-a-permutation')"),
+    ("semiquandle 2\n1 1\n2 2\n\n1 1 1\n2 2\n", "('dn', 'row-length', 1)"),
+], ids=["hat", "v", "dn"])
+def test_verify_malformed_block_is_one_line_structure_error(tmp_path, capsys, text, witness):
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    with pytest.raises(StructureError):
+        parse_table_text(text)
+    rc, out, err = run(capsys, "verify", "--table", str(f))
+    assert rc == 1 and not err
+    assert out == f"invalid: {f}: structure@{witness}\n"
+
+
 # ---------------------------------------------------------------------------
 # enumerate
 
@@ -114,6 +131,14 @@ def test_enumerate_requires_n(capsys):
 
 def test_enumerate_budget_exhaustion_exits_3(capsys):
     rc, _, err = run(capsys, "enumerate", "--n", "3", "--budget", "50", "--json")
+    assert rc == 3 and "budget exceeded" in err
+
+
+def test_enumerate_negative_budget_is_invalid_input(capsys):
+    rc, out, err = run(capsys, "enumerate", "--n", "3", "--budget", "-1")
+    assert rc == 1 and not out
+    assert err.startswith("invalid input:") and len(err.splitlines()) == 1
+    rc, _, err = run(capsys, "enumerate", "--n", "3", "--budget", "0")
     assert rc == 3 and "budget exceeded" in err
 
 

@@ -4,9 +4,10 @@ import itertools
 
 import pytest
 
-from semiquandles.algebra import (SemiquandleTable, builtin_bundle,
-                                  check_semiquandle, check_singular,
-                                  make_constant_action)
+from semiquandles.algebra import (SemiquandleTable, automorphisms,
+                                  builtin_bundle, check_semiquandle,
+                                  check_singular, make_constant_action,
+                                  perm_inverse)
 from semiquandles.enumeration import (
     CanonicalForm, ResourceBudgetExceeded, enumerate_semiquandles,
     enumerate_singular_extensions, enumerate_virtual_structures,
@@ -67,7 +68,7 @@ def test_budget_exceeded_is_explicit():
 
 def naive_singular_extensions(table):
     """Oracle: every hup candidate with hdn forced by the hat axiom,
-    filtered by the full checker."""
+    filtered by the full checker, in product order over hup."""
     n = table.n
     out = []
     inv_col = [{table.up[i][j]: i + 1 for i in range(n)} for j in range(n)]
@@ -81,18 +82,54 @@ def naive_singular_extensions(table):
         hdn = tuple(tuple(r) for r in hdn)
         if not check_singular(table.up, table.dn, hup, hdn):
             out.append((hup, hdn))
-    return sorted(out)
+    return out
 
 
 def test_singular_extensions_of_order3_constant_action():
+    # the search yields the brute-force extensions in the same order on
+    # every table of order <= 2, on ca3, and on one table of each other
+    # order-3 isomorphism class
     table = builtin_bundle("ca3").table
-    got = sorted((e.hup, e.hdn) for e in enumerate_singular_extensions(table))
-    assert got == naive_singular_extensions(table)
+    tables = [*enumerate_semiquandles(1), *enumerate_semiquandles(2), table]
+    tables += [t for t in enumerate_semiquandles(3, up_to_iso=True)
+               if CanonicalForm.of(t) != CanonicalForm.of(table)]
+    assert len(tables) == 8
+    for t in tables:
+        got = [(e.hup, e.hdn) for e in enumerate_singular_extensions(t)]
+        assert got == naive_singular_extensions(t)
+    got = [(e.hup, e.hdn) for e in enumerate_singular_extensions(table)]
     assert len(got) == 27
     # the operator and flat extensions are among them
     from semiquandles.algebra import make_operator_singular, make_flat_singular
     for ext in (make_operator_singular(table), make_flat_singular(table)):
         assert (ext.hup, ext.hdn) in got
+
+
+def test_singular_extensions_of_t4():
+    t4 = builtin_bundle("t4")
+    sing = builtin_bundle("t4_sing").singular
+    got = [(e.hup, e.hdn) for e in enumerate_singular_extensions(t4.table)]
+    # a regression value: brute force over 4^16 hup tables is out of reach
+    assert len(got) == 16 == len(set(got))
+    assert (sing.hup, sing.hdn) in got
+    assert all(not check_singular(t4.table.up, t4.table.dn, *e) for e in got)
+
+    def relabel(t, phi):
+        inv = perm_inverse(phi)
+        return tuple(tuple(phi[t[inv[x] - 1][inv[y] - 1] - 1] for y in range(4))
+                     for x in range(4))
+    for phi in automorphisms(t4):
+        assert {(relabel(h, phi), relabel(g, phi)) for h, g in got} == set(got)
+
+
+def test_singular_extension_budget_reports_progress():
+    table = make_constant_action(3, (1, 2, 3))
+    yielded = 0
+    with pytest.raises(ResourceBudgetExceeded) as e:
+        for _ in enumerate_singular_extensions(table, node_budget=100):
+            yielded += 1
+    assert e.value.nodes == 101
+    assert e.value.found == yielded > 0
 
 
 def test_virtual_structures_are_automorphisms():
