@@ -176,6 +176,8 @@ def _cmd_auto(args) -> int:
 
 
 def _cmd_moves_test(args) -> int:
+    if args.trials < 0:
+        raise InvalidInput(f"--trials must be at least 0, got {args.trials}")
     bundles = [(name, builtin_bundle(name)) for name in TRIAL_BUNDLES]
     report = moves.run_move_trials(bundles, trials=args.trials, seed=args.seed)
     ok = not report["failures"]

@@ -98,11 +98,12 @@ class PassCode:
         return PassCode(tuple(sorted(comps)))
 
     def text(self) -> str:
-        return "".join(
-            "comp: " + " ".join(p.text() for p in comp) + "\n"
-            if comp else "comp:\n"
-            for comp in self.components
-        )
+        return "".join(map(component_text, self.components))
+
+
+def component_text(comp) -> str:
+    """The line of one component in the code grammar, newline included."""
+    return "comp: " + " ".join(p.text() for p in comp) + "\n" if comp else "comp:\n"
 
 
 def _validate(components) -> None:

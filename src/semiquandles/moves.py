@@ -26,7 +26,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .diagram import FLAT, SING, VIRT, CodeError, Pass, PassCode
+from .diagram import (FLAT, SING, VIRT, CodeError, Pass, PassCode,
+                      component_text)
 
 MOVE_IDS = ("fR1", "fR2", "fR3", "vR1", "vR2", "vR3", "mixed", "sR2", "sR3")
 
@@ -507,40 +508,54 @@ def canonical(code: PassCode) -> PassCode:
     """Normal form that also relabels crossing ids, for comparisons that
     must ignore id choices (e.g. delete-then-reinsert round trips).
 
-    Minimizes the relabeled text over every rotation of each component
-    and every reordering of equal-length components; an isomorphism of
-    codes can only map components of equal length onto each other, so
-    isomorphic codes share this normal form.
+    The form is the code of least text() over every rotation of each
+    component and every reordering of equal-length components, with
+    crossings renumbered per kind in order of first appearance.  An
+    isomorphism of codes can only map components of equal length onto
+    each other, so isomorphic codes share this normal form.
+
+    The components fill fixed slots, sorted by length, one text line
+    each.  A line ends in a newline, which sorts below every character
+    of a line, so the least text has the least first line, then the least
+    second line among the codes with that first line, and so on.  Line k
+    depends only on the numbering left by lines 1..k-1 and on which
+    unused component of slot k's length goes there, in which rotation.
+    The search fills the slots in order and keeps every state (the used
+    components, the crossing numbering and a per-kind counter) that
+    reaches the least line.  The numbering turns a line back into the
+    passes it came from, so two kept states never coincide, and empty
+    components, which are all alike, are set aside first.  Only partial
+    labelings that tie survive: a code with little symmetry keeps a state
+    or two, while k components that differ only in crossing names (k
+    disjoint kinks, say) tie in every order and keep up to k! states.
     """
-    comps = sorted(code.components, key=len)
-    blocks = []
-    for _, group in itertools.groupby(comps, key=len):
-        blocks.append(list(group))
-    rotated = []
-    for block in blocks:
-        perms = [block] if len(block[0]) == 0 else \
-            [list(p) for p in itertools.permutations(block)]
-        rotated.append(perms)
-    best = None
-    for ordering in itertools.product(*rotated):
-        ordered = [c for block in ordering for c in block]
-        opts = [[c] if len(c) <= 1 else
-                [c[i:] + c[:i] for i in range(len(c))] for c in ordered]
-        for combo in itertools.product(*opts):
-            ids = {}
-            out_comps = []
-            for comp in combo:
-                out = []
-                for p in comp:
-                    key = p.crossing
-                    if key not in ids:
-                        ids[key] = sum(1 for k in ids if k[0] == p.kind) + 1
-                    out.append(Pass(p.kind, ids[key], p.role, p.sign))
-                out_comps.append(tuple(out))
-            cand = PassCode(tuple(out_comps))
-            if best is None or cand.text() < best.text():
-                best = cand
-    return best
+    comps = [c for c in sorted(code.components, key=len) if c]
+    lines = [()] * (len(code.components) - len(comps))
+    states = [(frozenset(), {}, {})]
+    for length in map(len, comps):
+        block = [j for j, c in enumerate(comps) if len(c) == length]
+        best, survivors = None, []
+        for used, ids, counts in states:
+            for j in block:
+                if j in used:
+                    continue
+                comp = comps[j]
+                for r in range(length):
+                    new_ids, new_counts, line = dict(ids), dict(counts), []
+                    for p in comp[r:] + comp[:r]:
+                        cid = new_ids.get(p.crossing)
+                        if cid is None:
+                            cid = new_counts[p.kind] = new_counts.get(p.kind, 0) + 1
+                            new_ids[p.crossing] = cid
+                        line.append(Pass(p.kind, cid, p.role, p.sign))
+                    text = component_text(line)
+                    if best is None or text < best[0]:
+                        best, survivors = (text, tuple(line)), []
+                    if text == best[0]:
+                        survivors.append((used | {j}, new_ids, new_counts))
+        lines.append(best[1])
+        states = survivors
+    return PassCode(tuple(lines))
 
 
 def random_code(budget: dict, seed: int = 0) -> PassCode:
@@ -647,6 +662,8 @@ def run_move_trials(bundles, trials: int = 500, seed: int = 0) -> dict:
     from .diagram import extract_relations
     from .present import enhanced_invariant
 
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
     lifted = []
     for name, b in bundles:
         singular = b.singular

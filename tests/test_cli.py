@@ -1,9 +1,14 @@
 """CLI verbs, exit codes, and byte-determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import semiquandles
 from semiquandles.algebra import (StructureError, builtin_bundle,
                                   format_table_text, parse_table_text)
 from semiquandles.cli import main
@@ -213,6 +218,14 @@ def test_moves_test_json_report(capsys):
     assert report["trials"] == 9 and report["failures"] == []
 
 
+def test_moves_test_negative_trials_is_invalid_input(capsys):
+    rc, out, err = run(capsys, "moves-test", "--trials", "-1", "--json")
+    assert rc == 1 and not out
+    assert err.startswith("invalid input:") and len(err.splitlines()) == 1
+    rc, out, _ = run(capsys, "moves-test", "--trials", "0", "--json")
+    assert rc == 0 and json.loads(out)["trials"] == 0
+
+
 def test_moves_test_undoes_a_delete_at_the_end_of_a_component(capsys):
     # seed 37 draws an fR1 delete whose kink ends its component
     rc, out, _ = run(capsys, "moves-test", "--trials", "18", "--seed", "37")
@@ -278,3 +291,13 @@ def test_fixed_seed_is_byte_deterministic(capsys):
     c = run(capsys, "enumerate", "--n", "3", "--json")
     d = run(capsys, "enumerate", "--n", "3", "--json")
     assert c == d
+
+
+def test_python_m_semiquandles_runs_the_cli():
+    src = str(Path(semiquandles.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "semiquandles", "verify", "--builtin", "t4"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0
+    assert proc.stdout == "valid semiquandle of order 4\n"

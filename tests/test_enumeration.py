@@ -1,16 +1,18 @@
 """Enumeration of semiquandles and extensions against naive oracles."""
 
 import itertools
+import random
 
 import pytest
 
-from semiquandles.algebra import (SemiquandleTable, automorphisms,
-                                  builtin_bundle, check_semiquandle,
-                                  check_singular, make_constant_action,
-                                  perm_inverse)
+from semiquandles.algebra import (SemiquandleTable, StructureBundle,
+                                  automorphisms, builtin_bundle,
+                                  check_semiquandle, check_singular,
+                                  make_constant_action, perm_inverse)
 from semiquandles.enumeration import (
-    CanonicalForm, ResourceBudgetExceeded, enumerate_semiquandles,
-    enumerate_singular_extensions, enumerate_virtual_structures,
+    CanonicalForm, ResourceBudgetExceeded, _hat_search_plan,
+    enumerate_semiquandles, enumerate_singular_extensions,
+    enumerate_virtual_structures,
 )
 
 
@@ -120,6 +122,23 @@ def test_singular_extensions_of_t4():
                      for x in range(4))
     for phi in automorphisms(t4):
         assert {(relabel(h, phi), relabel(g, phi)) for h, g in got} == set(got)
+
+
+def test_hat_search_plan_compiles_every_axiom_instance():
+    # hup and hdn are drawn independently: with hdn derived from hup by
+    # axiom hi, hi.a and hi.b never fail on these tables
+    rng = random.Random(4)
+    tables = [builtin_bundle("t4").table, *enumerate_semiquandles(3, up_to_iso=True)]
+    for table in tables:
+        n = table.n
+        ops = StructureBundle(table).ops
+        _, checks = _hat_search_plan(ops["up"], ops["dn"])
+        for _ in range(40):
+            hup, hdn = ([rng.randrange(n) for _ in range(n * n)] for _ in range(2))
+            failing = sum(not check(hup, hdn) for cell in checks for check in cell)
+            hup1, hdn1 = (tuple(tuple(v + 1 for v in flat[i:i + n])
+                                for i in range(0, n * n, n)) for flat in (hup, hdn))
+            assert failing == len(check_singular(table.up, table.dn, hup1, hdn1))
 
 
 def test_singular_extension_budget_reports_progress():

@@ -3,6 +3,7 @@ invariance trials, round trips, the derived reverse slide, and the
 forbidden move."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from semiquandles.algebra import (StructureBundle, VirtualExtension,
                                   builtin_bundle, evaluate,
                                   make_flat_singular)
-from semiquandles.diagram import PassCode, parse_code, extract_relations
+from semiquandles.diagram import Pass, PassCode, parse_code, extract_relations
 from semiquandles.moves import (
     MOVE_IDS, MoveError, MoveSpec, apply_move, inverse_of, applicable_moves,
     canonical, random_code, random_applicable_move, run_move_trials,
@@ -206,6 +207,13 @@ def test_move_trials_deterministic_in_seed():
     assert a == b
 
 
+def test_move_trials_reject_a_negative_count():
+    with pytest.raises(ValueError):
+        run_move_trials(TRIAL_BUNDLES, trials=-1)
+    empty = run_move_trials(TRIAL_BUNDLES, trials=0)
+    assert empty["per_move"] == dict.fromkeys(MOVE_IDS, 0)
+
+
 # ---------------------------------------------------------------------------
 # round trips and error paths
 
@@ -284,6 +292,108 @@ def test_random_code_and_choice_are_deterministic():
     assert random_code(budget, seed=5) == random_code(budget, seed=5)
     c = random_code(budget, seed=5)
     assert random_applicable_move(c, seed=9) == random_applicable_move(c, seed=9)
+
+
+# ---------------------------------------------------------------------------
+# canonical forms against the brute-force oracle
+
+def naive_canonical(code: PassCode) -> PassCode:
+    """Oracle: minimize the relabeled text over every reordering of
+    equal-length components and every rotation of each component."""
+    comps = sorted(code.components, key=len)
+    blocks = []
+    for _, group in itertools.groupby(comps, key=len):
+        blocks.append(list(group))
+    rotated = []
+    for block in blocks:
+        perms = [block] if len(block[0]) == 0 else \
+            [list(p) for p in itertools.permutations(block)]
+        rotated.append(perms)
+    best = None
+    for ordering in itertools.product(*rotated):
+        ordered = [c for block in ordering for c in block]
+        opts = [[c] if len(c) <= 1 else
+                [c[i:] + c[:i] for i in range(len(c))] for c in ordered]
+        for combo in itertools.product(*opts):
+            ids = {}
+            out_comps = []
+            for comp in combo:
+                out = []
+                for p in comp:
+                    key = p.crossing
+                    if key not in ids:
+                        ids[key] = sum(1 for k in ids if k[0] == p.kind) + 1
+                    out.append(Pass(p.kind, ids[key], p.role, p.sign))
+                out_comps.append(tuple(out))
+            cand = PassCode(tuple(out_comps))
+            if best is None or cand.text() < best.text():
+                best = cand
+    return best
+
+
+def _cut(passes, rng, ncomp):
+    """The passes cut at random points into ncomp components."""
+    cuts = sorted(rng.choices(range(len(passes) + 1), k=ncomp - 1))
+    bounds = [0, *cuts, len(passes)]
+    return PassCode(tuple(tuple(passes[a:b]) for a, b in zip(bounds, bounds[1:])))
+
+
+def _equal_components(rng, ncomp, length):
+    """ncomp components of `length` passes over random F/S/V crossings."""
+    roles = {"F": ("sup", "sub"), "S": ("sup", "sub"), "V": ("v+", "v-")}
+    passes = [Pass(kind, cid, role)
+              for cid in range(1, ncomp * length // 2 + 1)
+              for kind in [rng.choice("FSV")] for role in roles[kind]]
+    rng.shuffle(passes)
+    return PassCode(tuple(tuple(passes[i * length:(i + 1) * length])
+                          for i in range(ncomp)))
+
+
+def _relabeled(code, rng):
+    """The same code with every component rotated, the components
+    permuted and each kind's crossings renumbered."""
+    comps = [c[k:] + c[:k] for c in code.components
+             for k in [rng.randrange(len(c)) if c else 0]]
+    rng.shuffle(comps)
+    ids = {}
+    for kind in "FSVC":
+        old = sorted({p.cid for c in comps for p in c if p.kind == kind})
+        ids.update(((kind, a), b) for a, b in
+                   zip(old, rng.sample(range(1, len(old) + 1), len(old))))
+    return PassCode(tuple(tuple(Pass(p.kind, ids[p.crossing], p.role, p.sign)
+                                for p in c) for c in comps))
+
+
+def test_canonical_matches_the_brute_force_oracle():
+    rng = random.Random(2)
+    codes = []
+    for seed in range(120):
+        code = random_code({"F": 2, "S": 1, "V": 2, "components": 1 + seed % 4},
+                           seed=seed)
+        codes.append(PassCode(code.components + ((),)) if seed % 3 == 0 else code)
+    for _ in range(40):
+        passes = [Pass("C", cid, role, sign)
+                  for cid in range(1, rng.randint(1, 4) + 1)
+                  for sign in [rng.choice((1, -1))] for role in ("over", "under")]
+        rng.shuffle(passes)
+        codes.append(_cut(passes, rng, rng.randint(2, 3)))
+    # four disjoint kinks tie in every order: the search keeps every tie
+    codes.append(PassCode(tuple((Pass("F", i, "sup"), Pass("F", i, "sub"))
+                                for i in (4, 2, 3, 1))))
+    for shape in ((1, 8), (1, 12), (2, 4), (2, 6), (3, 4), (4, 3), (4, 4)):
+        codes.append(_equal_components(rng, *shape))
+    for code in codes:
+        assert canonical(code) == naive_canonical(code), code.text()
+
+
+def test_canonical_is_relabeling_invariant_beyond_the_oracle():
+    rng = random.Random(3)
+    for shape in ((5, 4), (6, 4)):
+        for _ in range(3):
+            code = _equal_components(rng, *shape)
+            form = canonical(code)
+            assert canonical(_relabeled(code, rng)) == form
+            assert canonical(form) == form
 
 
 # ---------------------------------------------------------------------------
