@@ -33,6 +33,15 @@ class OperationUnavailable(LookupError):
     """Requested an operation the bundle does not carry."""
 
 
+class ResourceBudgetExceeded(RuntimeError):
+    """Search node budget exhausted; carries the partial progress made."""
+
+    def __init__(self, nodes: int, found: int, what: str = "structures"):
+        self.nodes = nodes
+        self.found = found
+        super().__init__(f"budget exceeded after {nodes} nodes ({found} {what} found)")
+
+
 @dataclass(frozen=True, order=True)
 class Violation:
     axiom: str
@@ -271,8 +280,20 @@ class StructureBundle:
         return MappingProxyType(ops)
 
     def with_trivial_extensions(self) -> "StructureBundle":
-        """Fill absent extensions with the trivial ones."""
-        singular = self.singular or trivial_singular(self.n)
+        """Fill absent extensions with the trivial ones where they are valid.
+
+        The identity virtual extension always is.  The trivial singular one
+        (hup = hdn = projection to the first argument) satisfies the hat
+        axioms only on some tables (among the builtins, only on `ts3_v13`,
+        whose up and dn agree), so a bundle whose table rejects it stays
+        without a singular extension.
+        """
+        singular = self.singular
+        if singular is None:
+            try:
+                singular = StructureBundle(self.table, trivial_singular(self.n)).singular
+            except AxiomError:
+                pass
         virtual = self.virtual or VirtualExtension(identity_perm(self.n))
         return StructureBundle(self.table, singular, virtual)
 

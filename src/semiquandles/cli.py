@@ -16,12 +16,11 @@ import sys
 from pathlib import Path
 
 from . import algebra, diagram, moves, present
-from .algebra import (AxiomError, StructureError, StructureBundle,
-                      builtin_bundle, format_table_text, parse_table_text,
-                      automorphisms, BUILTIN_BUNDLES)
+from .algebra import (AxiomError, ResourceBudgetExceeded, StructureError,
+                      StructureBundle, builtin_bundle, format_table_text,
+                      parse_table_text, automorphisms, BUILTIN_BUNDLES)
 from .diagram import CodeError, parse_code, extract_relations, builtin_code
-from .enumeration import (ResourceBudgetExceeded, enumerate_semiquandles,
-                          enumerate_virtual_structures)
+from .enumeration import enumerate_semiquandles, enumerate_virtual_structures
 from .present import (PresentationError, MissingExtensionError,
                       parse_presentation, count_colorings, enhanced_invariant,
                       builtin as builtin_presentation)
@@ -81,6 +80,15 @@ def _load_presentation(args) -> "present.Presentation":
         raise UsageError(f"unknown builtin {args.builtin!r}") from None
 
 
+def _budget(args) -> dict:
+    """The --budget value as a node_budget keyword, or none for the default."""
+    if args.budget is None:
+        return {}
+    if args.budget < 0:
+        raise InvalidInput(f"--budget must be at least 0, got {args.budget}")
+    return {"node_budget": args.budget}
+
+
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -118,11 +126,8 @@ def _cmd_enumerate(args) -> int:
         raise UsageError("enumerate requires --n")
     if args.n < 1:
         raise InvalidInput(f"--n must be at least 1, got {args.n}")
-    if args.budget is not None and args.budget < 0:
-        raise InvalidInput(f"--budget must be at least 0, got {args.budget}")
     found = []
-    kw = {} if args.budget is None else {"node_budget": args.budget}
-    stream = enumerate_semiquandles(args.n, up_to_iso=args.iso, **kw)
+    stream = enumerate_semiquandles(args.n, up_to_iso=args.iso, **_budget(args))
     if args.json:
         for t in stream:
             found.append({"up": [list(r) for r in t.up],
@@ -144,11 +149,12 @@ def _cmd_invariant(args, full: bool) -> int:
         raise UsageError("requires --table (file or builtin bundle name)")
     bundle = _load_bundle(args.table)
     pres = _load_presentation(args)
+    budget = _budget(args)
     try:
         if full:
-            _emit(enhanced_invariant(pres, bundle).as_dict())
+            _emit(enhanced_invariant(pres, bundle, **budget).as_dict())
         else:
-            _emit({"count": count_colorings(pres, bundle)})
+            _emit({"count": count_colorings(pres, bundle, **budget)})
     except MissingExtensionError as e:
         raise InvalidInput(str(e)) from None
     return EXIT_OK
@@ -202,8 +208,9 @@ def _cmd_vassiliev(args) -> int:
     except CodeError as e:
         raise InvalidInput(str(e)) from None
     probes = [_load_bundle(p) for p in (args.probes or [])]
+    budget = _budget(args)
     try:
-        report = distinguish(k1, k2, probes)
+        report = distinguish(k1, k2, probes, **budget)
     except (CodeError, MissingExtensionError) as e:
         raise InvalidInput(str(e)) from None
     _emit(report)
@@ -229,7 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--iso", action="store_true",
                        help="one representative per isomorphism class")
         p.add_argument("--budget", type=int,
-                       help="search-node budget for enumeration")
+                       help="search-node budget of each enumeration or "
+                            "coloring search (exit 3 when exceeded)")
         p.add_argument("--trials", type=int, default=500)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--jobs", type=int, default=1,

@@ -16,18 +16,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import (SemiquandleTable, SingularExtension, StructureBundle,
-                      check_semiquandle, automorphisms, column_inverse,
-                      perm_compose, perm_inverse)
-
-
-class ResourceBudgetExceeded(RuntimeError):
-    """Search node budget exhausted; carries the partial progress made."""
-
-    def __init__(self, nodes: int, found: int):
-        self.nodes = nodes
-        self.found = found
-        super().__init__(f"budget exceeded after {nodes} nodes ({found} structures found)")
+from .algebra import (ResourceBudgetExceeded, SemiquandleTable,
+                      SingularExtension, StructureBundle, check_semiquandle,
+                      automorphisms, column_inverse, perm_compose, perm_inverse)
 
 
 @dataclass(frozen=True)

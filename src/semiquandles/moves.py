@@ -651,14 +651,13 @@ def run_move_trials(bundles, trials: int = 500, seed: int = 0) -> dict:
     """Randomized move-invariance suite.
 
     bundles: sequence of (name, StructureBundle).  Each bundle is lifted
-    by whichever trivial extensions its table actually admits; random
-    codes for it use only the crossing kinds it can then color.  Every
+    by `with_trivial_extensions` to the trivial extensions its table
+    admits; random codes for it use only the crossing kinds it can then
+    color.  Every
     trial applies one move and its inverse, checking that the enhanced
     invariant is unchanged by the move and that the inverse restores
     the code.  Deterministic in the seed.
     """
-    from .algebra import AxiomError, VirtualExtension, StructureBundle, \
-        identity_perm, trivial_singular
     from .diagram import extract_relations
     from .present import enhanced_invariant
 
@@ -666,16 +665,8 @@ def run_move_trials(bundles, trials: int = 500, seed: int = 0) -> dict:
         raise ValueError(f"trials must be at least 0, got {trials}")
     lifted = []
     for name, b in bundles:
-        singular = b.singular
-        if singular is None:
-            try:
-                StructureBundle(b.table, trivial_singular(b.n))
-                singular = trivial_singular(b.n)
-            except AxiomError:
-                singular = None
-        virtual = b.virtual or VirtualExtension(identity_perm(b.n))
-        kinds = FLAT + (SING if singular else "") + VIRT
-        lifted.append((name, StructureBundle(b.table, singular, virtual), kinds))
+        b = b.with_trivial_extensions()
+        lifted.append((name, b, FLAT + (SING if b.has_singular else "") + VIRT))
 
     if not any(SING in kinds for _, _, kinds in lifted):
         raise ValueError("move trials need at least one bundle with a "

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
-from .algebra import EXTENSION_OF, StructureBundle, subclosure
+from .algebra import (EXTENSION_OF, ResourceBudgetExceeded, StructureBundle,
+                      subclosure)
 
 
 class PresentationError(ValueError):
@@ -158,98 +160,199 @@ def _require_ops(p: Presentation, bundle: StructureBundle) -> None:
             f"presentation needs {' and '.join(missing)} extension(s)")
 
 
-def _compile(p: Presentation, bundle: StructureBundle) -> list:
-    """Each relation as (forward table, inverse table or None, labels),
-    the tables taken from the bundle's 0-based compiled form.
+# the sub-pass relation that follows a sup-pass relation at one crossing
+_PAIRED = {"up": "dn", "hup": "hdn"}
 
-    up/dn/v relations carry their inverse (axiom 0 / bijectivity of v);
-    hat relations carry None, since no inverse is axiomatized for them.
+# search nodes one `colorings` call may visit before giving up
+NODE_BUDGET = 100_000
+
+
+def _rows(ops, kinds: tuple, n: int) -> list:
+    """The 0-based value tuples of one relation, or of a crossing's pair."""
+    if kinds == ("v",):
+        v = ops["v"]
+        return [(x, v[x]) for x in range(n)]
+    if len(kinds) == 2:
+        sup, sub = ops[kinds[0]], ops[kinds[1]]
+        return [(x, y, sup[x][y], sub[y][x]) for x in range(n) for y in range(n)]
+    t = ops[kinds[0]]
+    return [(x, y, t[x][y]) for x in range(n) for y in range(n)]
+
+
+def _table(rows, slot: tuple, width: int, n: int) -> tuple:
+    """A table over `width` distinct labels, as (support, all rows).
+
+    Position i of each row belongs to distinct label slot[i]; a label that
+    repeats (a kink) keeps only the rows that agree on it.  support[j][x]
+    is the bitmask of the kept rows whose value at label j is x.
     """
-    return [(bundle.ops[rel.kind], bundle.ops.get(rel.kind + "_inv"), rel.labels())
-            for rel in p.relations]
+    kept = set()
+    for row in rows:
+        proj = [None] * width
+        for j, x in zip(slot, row):
+            if proj[j] is None:
+                proj[j] = x
+            elif proj[j] != x:
+                break
+        else:
+            kept.add(tuple(proj))
+    support = [[0] * n for _ in range(width)]
+    for r, row in enumerate(sorted(kept)):
+        for j, x in enumerate(row):
+            support[j][x] |= 1 << r
+    return support, (1 << len(kept)) - 1
 
 
-def _propagate(relations, assignment):
-    """Run forward/backward propagation to a fixpoint over compiled
-    relations, with 0-based values.  Returns False on contradiction."""
-    changed = True
-    while changed:
-        changed = False
-        for forward, inverse, labels in relations:
-            if len(labels) == 2:        # v(a) = c
-                a, c = labels
-                av, cv = assignment.get(a), assignment.get(c)
-                if av is not None:
-                    want = forward[av]
-                    if cv is None:
-                        assignment[c] = want
-                        changed = True
-                    elif cv != want:
-                        return False
-                elif cv is not None:
-                    assignment[a] = inverse[cv]
-                    changed = True
-                continue
-            a, b, c = labels
-            av, bv, cv = assignment.get(a), assignment.get(b), assignment.get(c)
-            if av is not None and bv is not None:
-                want = forward[av][bv]
-                if cv is None:
-                    assignment[c] = want
-                    changed = True
-                elif cv != want:
-                    return False
-            elif cv is not None and bv is not None and inverse is not None:
-                assignment[a] = inverse[cv][bv]
-                changed = True
+def _constraints(p: Presentation, ops, n: int) -> list:
+    """The presentation as table constraints (scope, support, all rows),
+    scope holding generator indices, over 0-based values.
+
+    A crossing's sup-pass relation up(a,b)=a' directly followed by its
+    sub-pass relation dn(b,a)=b' (or hup/hdn) is one constraint on
+    (a, b, a', b') with the n^2 rows (x, y, up[x][y], dn[y][x]); a v
+    relation is one on (a, a'); any other relation keeps its own 3-label
+    table, since hand-written presentations need not pair.  Constraints of
+    the same kinds and label pattern share one table.
+    """
+    index = {g: i for i, g in enumerate(p.generators)}
+    tables = {}
+    out = []
+    rels = p.relations
+    i = 0
+    while i < len(rels):
+        rel = rels[i]
+        nxt = rels[i + 1] if i + 1 < len(rels) else None
+        kinds, labels = (rel.kind,), rel.labels()
+        if (nxt is not None and _PAIRED.get(rel.kind) == nxt.kind
+                and nxt.args == rel.args[::-1]):
+            kinds, labels = (rel.kind, nxt.kind), labels + (nxt.result,)
+            i += 1
+        i += 1
+        scope = tuple(dict.fromkeys(labels))
+        slot = tuple(scope.index(lab) for lab in labels)
+        if (kinds, slot) not in tables:
+            tables[kinds, slot] = _table(_rows(ops, kinds, n), slot, len(scope), n)
+        out.append((tuple(index[lab] for lab in scope),) + tables[kinds, slot])
+    return out
+
+
+@lru_cache(maxsize=1 << 12)
+def _bits(d: int) -> tuple:
+    """The set bits of d, lowest first, as (bit, index) pairs."""
+    out = []
+    while d:
+        low = d & -d
+        out.append((low, low.bit_length() - 1))
+        d ^= low
+    return tuple(out)
+
+
+def _arc_consistent(constraints, watchers, domains: list, queue, full: int) -> bool:
+    """Narrow domains in place until every constraint is generalized
+    arc consistent, starting from the constraints in queue.
+
+    A constraint's live rows are those whose every value lies in its
+    label's domain; each of its labels keeps only the values some live
+    row carries, and a label that shrinks queues the other constraints
+    that watch it.  Returns False when some constraint has no live row.
+    """
+    pending = list(queue)
+    queued = set(pending)
+    while pending:
+        c = pending.pop()
+        queued.discard(c)
+        scope, support, live = constraints[c]
+        for lab, sup in zip(scope, support):
+            dom = domains[lab]
+            if dom != full:
+                rows = 0
+                for _, x in _bits(dom):
+                    rows |= sup[x]
+                live &= rows
+        if not live:
+            return False
+        for lab, sup in zip(scope, support):
+            dom = domains[lab]
+            if not dom & (dom - 1):
+                continue            # a fixed label keeps its value
+            kept = 0
+            for bit, x in _bits(dom):
+                if sup[x] & live:
+                    kept |= bit
+            if kept != dom:
+                domains[lab] = kept
+                for other in watchers[lab]:
+                    if other != c and other not in queued:
+                        queued.add(other)
+                        pending.append(other)
     return True
 
 
-def colorings(p: Presentation, bundle: StructureBundle):
+def colorings(p: Presentation, bundle: StructureBundle,
+              node_budget: int = NODE_BUDGET):
     """Yield every satisfying assignment generator -> 1..n, deterministically.
 
-    Backtracking with constraint propagation; branches on the unassigned
-    generator occurring in the most relations, ties broken by label.
+    The relations become table constraints: one per crossing on its four
+    labels (a, b, a', b'), one per v relation on two, and one per relation
+    that does not pair into a crossing on three (see `_constraints`).
+    Each label keeps a bitmask domain of the values still possible.
+    Propagation makes every constraint generalized arc consistent: it
+    drops each value no row of the constraint supports within the current
+    domains, and requeues the constraints that watch a label it narrowed.
+    The search then branches on the open label with the smallest domain
+    (ties to the first generator), trying its values in ascending order.
+
+    A node is one domain state the search propagates: the root, or one
+    value tried for a branching label.  Each coloring yielded is one such
+    node, so a presentation with more colorings than node_budget cannot
+    finish either.  Visiting more than node_budget nodes raises
+    ResourceBudgetExceeded, after the colorings found so far.
     """
     _require_ops(p, bundle)
     n = bundle.n
-    relations = _compile(p, bundle)
-    occurrence = {g: 0 for g in p.generators}
-    for rel in p.relations:
-        for lab in rel.labels():
-            occurrence[lab] += 1
+    full = (1 << n) - 1
+    constraints = _constraints(p, bundle.ops, n)
+    watchers = [[] for _ in p.generators]
+    for c, (scope, _, _) in enumerate(constraints):
+        for lab in scope:
+            watchers[lab].append(c)
+    stack = [([full] * len(p.generators), range(len(constraints)))]
+    nodes = found = 0
+    while stack:
+        domains, queue = stack.pop()
+        nodes += 1
+        if nodes > node_budget:
+            raise ResourceBudgetExceeded(nodes, found, "colorings")
+        if not _arc_consistent(constraints, watchers, domains, queue, full):
+            continue
+        _, branch = min(((d.bit_count(), lab) for lab, d in enumerate(domains)
+                         if d & (d - 1)), default=(0, None))
+        if branch is None:
+            found += 1
+            yield {g: d.bit_length() for g, d in zip(p.generators, domains)}
+            continue
+        for bit, _ in reversed(_bits(domains[branch])):
+            child = domains.copy()
+            child[branch] = bit
+            stack.append((child, watchers[branch]))
 
-    def solve(assignment):
-        work = dict(assignment)
-        if not _propagate(relations, work):
-            return
-        free = [g for g in p.generators if g not in work]
-        if not free:
-            yield {g: val + 1 for g, val in work.items()}
-            return
-        branch = min(free, key=lambda g: (-occurrence[g], g))
-        for val in range(n):
-            work2 = dict(work)
-            work2[branch] = val
-            yield from solve(work2)
 
-    yield from solve({})
-
-
-def count_colorings(p: Presentation, bundle: StructureBundle) -> int:
+def count_colorings(p: Presentation, bundle: StructureBundle,
+                    node_budget: int = NODE_BUDGET) -> int:
     """Number of homomorphisms from the presented structure to the bundle."""
-    return sum(1 for _ in colorings(p, bundle))
+    return sum(1 for _ in colorings(p, bundle, node_budget))
 
 
-def enhanced_invariant(p: Presentation, bundle: StructureBundle) -> InvariantResult:
+def enhanced_invariant(p: Presentation, bundle: StructureBundle,
+                       node_budget: int = NODE_BUDGET) -> InvariantResult:
     """Counting invariant enhanced by image-subalgebra sizes.
 
     The image of a coloring is the subclosure of its value set, so the
     polynomial records z^|Im(f)| for each coloring f.
     """
     sizes = sorted(
-        len(subclosure(bundle, set(f.values()))) for f in colorings(p, bundle)
-    )
+        len(subclosure(bundle, set(f.values())))
+        for f in colorings(p, bundle, node_budget))
     return InvariantResult(len(sizes), tuple(sizes), polynomial_text(sizes))
 
 

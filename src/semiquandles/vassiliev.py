@@ -18,7 +18,7 @@ from .algebra import StructureBundle
 from .diagram import (PassCode, CodeError, extract_relations, flatten,
                       smooth_at, glue_at, glue_kink, disjoint_unknot,
                       CLASSICAL)
-from .present import MissingExtensionError, enhanced_invariant
+from .present import NODE_BUDGET, MissingExtensionError, enhanced_invariant
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,11 @@ class Fingerprint:
     polynomials: tuple
 
     @classmethod
-    def of(cls, code: PassCode, probes) -> "Fingerprint":
+    def of(cls, code: PassCode, probes,
+           node_budget: int = NODE_BUDGET) -> "Fingerprint":
         pres = extract_relations(code)
-        return cls(tuple(enhanced_invariant(pres, b).polynomial for b in probes))
+        return cls(tuple(enhanced_invariant(pres, b, node_budget).polynomial
+                         for b in probes))
 
 
 @dataclass(frozen=True)
@@ -80,28 +82,30 @@ def _classical_crossings(code: PassCode) -> list:
     return out
 
 
-def _resolution_sum(code: PassCode, resolve, base: PassCode, probes) -> FormalSum:
+def _resolution_sum(code: PassCode, resolve, base: PassCode, probes,
+                    node_budget: int) -> FormalSum:
     """Over each classical crossing d, add sign(d)*(fingerprint of
     resolve(code, d) minus fingerprint of base)."""
     crossings = _classical_crossings(code)
     acc: dict = {}
     for cid, sign in crossings:
-        fp = Fingerprint.of(resolve(code, cid), probes)
+        fp = Fingerprint.of(resolve(code, cid), probes, node_budget)
         acc[fp] = acc.get(fp, 0) + sign
     if crossings:
-        fp = Fingerprint.of(base, probes)
+        fp = Fingerprint.of(base, probes, node_budget)
         acc[fp] = acc.get(fp, 0) - sum(sign for _, sign in crossings)
     return FormalSum.from_dict(acc)
 
 
-def s_sum(code: PassCode, probes) -> FormalSum:
+def s_sum(code: PassCode, probes, node_budget: int = NODE_BUDGET) -> FormalSum:
     """Smoothing sum: over each classical crossing d, add
     sign(d)*(fingerprint of the smoothing at d minus fingerprint of the
     flattened code with a disjoint unknot)."""
-    return _resolution_sum(code, smooth_at, disjoint_unknot(flatten(code)), probes)
+    return _resolution_sum(code, smooth_at, disjoint_unknot(flatten(code)),
+                           probes, node_budget)
 
 
-def g_sum(code: PassCode, probes) -> FormalSum:
+def g_sum(code: PassCode, probes, node_budget: int = NODE_BUDGET) -> FormalSum:
     """Gluing sum: over each classical crossing d, add
     sign(d)*(fingerprint of the code with d made singular minus
     fingerprint of the glued-kink base code).
@@ -113,7 +117,7 @@ def g_sum(code: PassCode, probes) -> FormalSum:
     if lacking:
         raise MissingExtensionError(
             f"gluing sum needs singular extensions; probes {lacking} lack one")
-    return _resolution_sum(code, glue_at, glue_kink(code), probes)
+    return _resolution_sum(code, glue_at, glue_kink(code), probes, node_budget)
 
 
 def _witnesses(label: str, a: FormalSum, b: FormalSum) -> list:
@@ -129,14 +133,16 @@ def _witnesses(label: str, a: FormalSum, b: FormalSum) -> list:
     return out
 
 
-def distinguish(k1: PassCode, k2: PassCode, probes) -> dict:
+def distinguish(k1: PassCode, k2: PassCode, probes,
+                node_budget: int = NODE_BUDGET) -> dict:
     """Compare the resolution sums of two codes over shared probes.
 
     A difference in either sum certifies the codes are inequivalent;
     agreement is inconclusive and is never reported as equivalence.
+    node_budget bounds each coloring search.
     """
-    s1, s2 = s_sum(k1, probes), s_sum(k2, probes)
-    g1, g2 = g_sum(k1, probes), g_sum(k2, probes)
+    s1, s2 = s_sum(k1, probes, node_budget), s_sum(k2, probes, node_budget)
+    g1, g2 = g_sum(k1, probes, node_budget), g_sum(k2, probes, node_budget)
     witnesses = _witnesses("S", s1, s2) + _witnesses("G", g1, g2)
     s_differs = s1 != s2
     g_differs = g1 != g2

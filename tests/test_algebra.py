@@ -10,7 +10,7 @@ from semiquandles.algebra import (
     check_semiquandle, check_singular, check_virtual,
     evaluate, subclosure, automorphisms,
     make_constant_action, make_operator_singular, make_flat_singular,
-    trivial_singular, perm_from_cycles, perm_inverse, perm_compose,
+    trivial_singular, identity_perm, perm_from_cycles, perm_inverse, perm_compose,
     format_table_text, parse_table_text, builtin_bundle, BUILTIN_BUNDLES,
 )
 
@@ -167,5 +167,14 @@ def test_parse_table_text_rejects_malformed_input():
 def test_with_trivial_extensions_validates():
     lifted = TS3.with_trivial_extensions()
     assert lifted.has_singular and lifted.has_virtual
+    assert lifted.singular == trivial_singular(3)
+    assert lifted.virtual == TS3.virtual
+    # the trivial hat operations break the hat axioms on t4, so t4 is
+    # lifted by the virtual extension alone
     with pytest.raises(AxiomError):
-        T4.with_trivial_extensions()
+        StructureBundle(T4.table, trivial_singular(4))
+    lifted = T4.with_trivial_extensions()
+    assert not lifted.has_singular and lifted.virtual.v == identity_perm(4)
+    assert lifted.table == T4.table
+    # a present extension is kept as it is
+    assert T4S.with_trivial_extensions().singular == T4S.singular

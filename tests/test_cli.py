@@ -172,6 +172,37 @@ def test_poly_from_code_file(tmp_path, capsys):
     assert json.loads(out)["polynomial"] != "z + 4z^2 + 4z^3"
 
 
+def test_count_budget_exhaustion_exits_3(tmp_path, capsys):
+    from semiquandles.moves import random_code
+    f = tmp_path / "seed10.txt"
+    f.write_text(random_code({"F": 20}, seed=10).text())
+    rc, out, err = run(capsys, "count", "--table", "t4", "--code", str(f),
+                       "--budget", "50")
+    assert rc == 3 and not out
+    assert err.startswith("budget exceeded:") and len(err.splitlines()) == 1
+    assert "colorings found" in err
+    rc, out, _ = run(capsys, "count", "--table", "t4", "--code", str(f))
+    assert rc == 0 and json.loads(out) == {"count": 4}
+
+
+@pytest.mark.parametrize("verb", ["count", "poly"])
+def test_solver_negative_budget_is_invalid_input(capsys, verb):
+    rc, out, err = run(capsys, verb, "--table", "t4", "--builtin",
+                       "flat_kishino", "--budget", "-1")
+    assert rc == 1 and not out
+    assert err.startswith("invalid input:") and len(err.splitlines()) == 1
+
+
+def test_vassiliev_passes_the_budget_to_the_solver(tmp_path, capsys):
+    f = tmp_path / "trefoil.txt"
+    f.write_text("comp: C1.over+ C2.under+ C3.over+ C1.under+ C2.over+ C3.under+\n")
+    argv = ["vassiliev", "--k1", str(f), "--k2", str(f), "--probes", "t4_sing"]
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and json.loads(out)["conclusion"] == "inconclusive"
+    rc, out, err = run(capsys, *argv, "--budget", "0")
+    assert rc == 3 and not out and len(err.splitlines()) == 1
+
+
 def test_count_missing_extension_is_invalid_input(capsys):
     rc, _, err = run(capsys, "count", "--table", "t4",
                      "--builtin", "singular_unknot_1")

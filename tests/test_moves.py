@@ -2,6 +2,7 @@
 invariance trials, round trips, the derived reverse slide, and the
 forbidden move."""
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -9,8 +10,7 @@ from collections import Counter
 import pytest
 
 from semiquandles.algebra import (StructureBundle, VirtualExtension,
-                                  builtin_bundle, evaluate,
-                                  make_flat_singular)
+                                  builtin_bundle, make_flat_singular)
 from semiquandles.diagram import Pass, PassCode, parse_code, extract_relations
 from semiquandles.moves import (
     MOVE_IDS, MoveError, MoveSpec, apply_move, inverse_of, applicable_moves,
@@ -41,12 +41,15 @@ def poly(code, bundle):
 # the rewrite, which makes the coloring sets of any two codes related
 # by the rewrite correspond bijectively.
 
-def _op(bundle, kind, role, me, other):
+def _op(ops, kind, role):
+    """The 0-based map (own color, other strand's color) -> output color
+    of one pass, read from a bundle's compiled operations."""
     if kind == "V":
-        return evaluate(bundle, "v" if role == "v+" else "v_inv", me)
-    name = {"F": {"sup": "up", "sub": "dn"},
-            "S": {"sup": "hup", "sub": "hdn"}}[kind][role]
-    return evaluate(bundle, name, me, other)
+        t = ops["v" if role == "v+" else "v_inv"]
+        return lambda me, other: t[me]
+    t = ops[{"F": {"sup": "up", "sub": "dn"},
+             "S": {"sup": "hup", "sub": "hdn"}}[kind][role]]
+    return lambda me, other: t[me][other]
 
 
 def boundary_multiset(bundle, strands):
@@ -54,20 +57,22 @@ def boundary_multiset(bundle, strands):
     for si, st in enumerate(strands):
         for pi, (cx, _, _) in enumerate(st):
             incident.setdefault(cx, []).append((si, pi))
-    n = bundle.n
+    # per strand, per pass: its operation and the other pass at its crossing
+    steps = [[(_op(bundle.ops, kind, role),
+               *next(e for e in incident[cx] if e[0] != si))
+              for cx, kind, role in st]
+             for si, st in enumerate(strands)]
     k = len(strands)
     sols = Counter()
-    rng = range(1, n + 1)
+    rng = range(bundle.n)
     for ins in itertools.product(rng, repeat=k):
         for mids in itertools.product(rng, repeat=k):
             col = [(ins[s], mids[s]) for s in range(k)]
             ok = True
             outs = [None] * k
-            for si, st in enumerate(strands):
-                for pi, (cx, kind, role) in enumerate(st):
-                    other = [e for e in incident[cx] if e[0] != si][0]
-                    got = _op(bundle, kind, role, col[si][pi],
-                              col[other[0]][other[1]])
+            for si, st in enumerate(steps):
+                for pi, (op, osi, opi) in enumerate(st):
+                    got = op(col[si][pi], col[osi][opi])
                     if pi == 0:
                         if got != mids[si]:
                             ok = False
@@ -132,15 +137,30 @@ def config_is_sound(strands, action):
 
 
 def test_triangle_catalog_matches_exhaustive_boundary_search():
+    @functools.cache
+    def triangle_multiset(fam, firsts, prims, b):
+        # once per configuration and bundle: a swap reuses the multiset
+        # of the configuration it swaps to
+        return boundary_multiset(ORACLE_BUNDLES[b],
+                                 triangle_strands(fam, firsts, prims))
+
     catalog = set(_SOUND_TRIANGLES.split())
     families = ("FFF", "SFF", "FSF", "FFS", "VVV", "FVV", "VFV", "VVF",
                 "SVV", "VSV", "VVS", "FFV", "FVF", "VFF")
+    flip = str.maketrans("01", "10")
     found = {fam: set() for fam in families}
     for fam in families:
         for firsts in itertools.product("01", repeat=3):
             for prims in itertools.product("01", repeat=3):
                 f, p = "".join(firsts), "".join(prims)
-                if config_is_sound(triangle_strands(fam, f, p), "swap"):
+                # the swap of a triangle is the configuration of the same
+                # family with every firsts bit flipped
+                swapped = f.translate(flip)
+                assert (rewritten(triangle_strands(fam, f, p), "swap")
+                        == triangle_strands(fam, swapped, p))
+                if all(triangle_multiset(fam, f, p, b)
+                       == triangle_multiset(fam, swapped, p, b)
+                       for b in range(len(ORACLE_BUNDLES))):
                     found[fam].add(f"{fam}:{f}:{p}")
     # the catalog holds exactly the sound configurations of its families
     in_catalog = {fam: {t for t in catalog if t.startswith(fam)}

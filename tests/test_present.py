@@ -6,8 +6,10 @@ import random
 
 import pytest
 
-from semiquandles.algebra import (StructureBundle, builtin_bundle, evaluate,
-                                  subclosure)
+from semiquandles.algebra import (ResourceBudgetExceeded, StructureBundle,
+                                  builtin_bundle, evaluate, subclosure)
+from semiquandles.diagram import extract_relations
+from semiquandles.moves import random_code
 from semiquandles.present import (
     Presentation, Relation, PresentationError, MissingExtensionError,
     parse_presentation, format_presentation, colorings, count_colorings,
@@ -19,10 +21,9 @@ CA3_OP = builtin_bundle("ca3_op")
 TS3 = builtin_bundle("ts3_v13")
 
 
-def naive_count(p, bundle):
+def naive_colorings(p, bundle):
     """Independent oracle: try every assignment of 1..n to the generators."""
     n = bundle.n
-    total = 0
     for values in itertools.product(range(1, n + 1), repeat=len(p.generators)):
         a = dict(zip(p.generators, values))
         ok = True
@@ -35,8 +36,22 @@ def naive_count(p, bundle):
                 ok = False
                 break
         if ok:
-            total += 1
-    return total
+            yield a
+
+
+def naive_count(p, bundle):
+    return sum(1 for _ in naive_colorings(p, bundle))
+
+
+def naive_image_sizes(p, bundle):
+    return sorted(len(subclosure(bundle, set(f.values())))
+                  for f in naive_colorings(p, bundle))
+
+
+def assert_matches_oracle(p, bundle):
+    expected = naive_image_sizes(p, bundle)
+    assert count_colorings(p, bundle) == len(expected)
+    assert list(enhanced_invariant(p, bundle).image_sizes) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +161,65 @@ def test_solver_matches_naive_oracle_on_random_presentations():
         p = random_presentation(rng, n_gens, rng.randint(0, 8),
                                 kinds_for[id(bundle)])
         assert count_colorings(p, bundle) == naive_count(p, bundle)
+
+
+# the builtin bundles that carry every extension a code of these kinds needs
+CODE_BUNDLES = {
+    "F": ("t4", "t4_sing", "ca3", "ca3_op", "ts3_v13"),
+    "FS": ("t4_sing", "ca3_op"),
+    "FV": ("ts3_v13",),
+}
+ORACLE_MAX = 20_000     # largest n^k colorings the product oracle tries
+
+
+def has_kink(p):
+    """Some crossing's up/dn (or hup/hdn) pair repeats a label."""
+    return any(nxt.args == rel.args[::-1]
+               and len(set(rel.labels() + (nxt.result,))) < 4
+               for rel, nxt in zip(p.relations, p.relations[1:])
+               if (rel.kind, nxt.kind) in (("up", "dn"), ("hup", "hdn")))
+
+
+def test_crossing_constraints_match_product_enumeration_on_random_codes():
+    checked = kinked = 0
+    for kinds, names in CODE_BUNDLES.items():
+        for seed in range(60):
+            budget = {kind: 3 for kind in kinds}
+            budget["components"] = 1 + seed % 3
+            p = extract_relations(random_code(budget, seed=seed))
+            for name in names:
+                bundle = builtin_bundle(name)
+                if bundle.n ** len(p.generators) > ORACLE_MAX:
+                    continue
+                assert_matches_oracle(p, bundle)
+                checked += 1
+                kinked += has_kink(p)
+    assert checked >= 400 and kinked >= 200, (checked, kinked)
+
+
+@pytest.mark.parametrize("text", [
+    # one crossing pair whose labels repeat, and a pair reading one label
+    # in both argument slots
+    "up(a,b)=b; dn(b,a)=a; up(c,c)=d; dn(c,c)=c",
+    # a lone dn before the up it would pair with: two 3-label tables
+    "dn(b,a)=d; up(a,b)=c; up(c,d)=a; dn(d,c)=b",
+])
+def test_hand_written_presentations_match_product_enumeration(text):
+    p = parse_presentation(text)
+    for name in CODE_BUNDLES["F"]:
+        assert_matches_oracle(p, builtin_bundle(name))
+
+
+@pytest.mark.parametrize("seed, budget", [(5, 700), (10, 2800)])
+def test_solver_node_count_regression(seed, budget):
+    # 341 and 1365 nodes were measured on these 19- and 18-crossing codes;
+    # each budget leaves about 2x headroom over the measured count
+    p = extract_relations(random_code({"F": 20}, seed=seed))
+    t4 = builtin_bundle("t4")
+    assert count_colorings(p, t4, node_budget=budget) == 4
+    with pytest.raises(ResourceBudgetExceeded) as e:
+        count_colorings(p, t4, node_budget=budget // 10)
+    assert e.value.nodes == budget // 10 + 1
 
 
 # ---------------------------------------------------------------------------

@@ -118,9 +118,9 @@ def test_each_sum_fingerprints_its_base_once(monkeypatch):
     calls = []
     real = Fingerprint.of.__func__
 
-    def counted(cls, code, probes):
+    def counted(cls, code, probes, *budget):
         calls.append(code)
-        return real(cls, code, probes)
+        return real(cls, code, probes, *budget)
     monkeypatch.setattr(Fingerprint, "of", classmethod(counted))
     k = parse_code("comp: C1.over+ C2.under+ C3.over+ C4.under- C5.over+ "
                    "C1.under+ C2.over+ C3.under+ C4.over- C5.under+\n")
