@@ -39,7 +39,7 @@ class ResourceBudgetExceeded(RuntimeError):
     def __init__(self, nodes: int, found: int, what: str = "structures"):
         self.nodes = nodes
         self.found = found
-        super().__init__(f"budget exceeded after {nodes} nodes ({found} {what} found)")
+        super().__init__(f"stopped after {nodes} nodes ({found} {what} found)")
 
 
 @dataclass(frozen=True, order=True)
@@ -202,6 +202,15 @@ class SingularExtension:
     def __post_init__(self):
         object.__setattr__(self, "hup", _freeze(self.hup))
         object.__setattr__(self, "hdn", _freeze(self.hdn))
+
+    @classmethod
+    def _from_frozen(cls, hup: tuple, hdn: tuple) -> "SingularExtension":
+        """An extension from rows already built as tuples of int tuples,
+        without the normalising copy of the constructor."""
+        ext = object.__new__(cls)
+        object.__setattr__(ext, "hup", hup)
+        object.__setattr__(ext, "hdn", hdn)
+        return ext
 
     @property
     def n(self) -> int:

@@ -5,12 +5,14 @@ Results go to stdout, diagnostics to stderr.  Exit codes: 0 success /
 valid, 1 invalid input or property failure, 2 usage error, 3 resource
 budget exceeded.  All output is byte-deterministic for fixed inputs,
 flags, and seeds; --jobs is a worker-count hint that never changes the
-output bytes.
+output bytes.  The argument parser is built once per process, at the
+first call of `main`, and every later call reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -219,6 +221,7 @@ def _cmd_vassiliev(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="semiquandles",

@@ -169,6 +169,7 @@ def enumerate_singular_extensions(table: SemiquandleTable,
     derive, checks = _hat_search_plan(ops["up"], ops["dn"])
     n = table.n
     cells = n * n
+    row_starts = range(0, cells, n)
     hup = [-1] * cells
     hdn = [0] * cells
     nodes = found = 0
@@ -193,9 +194,10 @@ def enumerate_singular_extensions(table: SemiquandleTable,
                 c += 1
                 continue
             found += 1
-            yield SingularExtension(
-                *(tuple(tuple([v + 1 for v in flat[i:i + n]]) for i in range(0, cells, n))
-                  for flat in (hup, hdn)))
+            one_based = ([v + 1 for v in hup], [v + 1 for v in hdn])
+            yield SingularExtension._from_frozen(
+                *(tuple([tuple(flat[i:i + n]) for i in row_starts])
+                  for flat in one_based))
 
 
 def enumerate_virtual_structures(bundle: StructureBundle,

@@ -348,11 +348,18 @@ def enhanced_invariant(p: Presentation, bundle: StructureBundle,
     """Counting invariant enhanced by image-subalgebra sizes.
 
     The image of a coloring is the subclosure of its value set, so the
-    polynomial records z^|Im(f)| for each coloring f.
+    polynomial records z^|Im(f)| for each coloring f.  Colorings with the
+    same value set have the same image, so each distinct value set is
+    closed once per call.
     """
-    sizes = sorted(
-        len(subclosure(bundle, set(f.values())))
-        for f in colorings(p, bundle, node_budget))
+    image_size = {}
+    sizes = []
+    for f in colorings(p, bundle, node_budget):
+        values = frozenset(f.values())
+        if values not in image_size:
+            image_size[values] = len(subclosure(bundle, values))
+        sizes.append(image_size[values])
+    sizes.sort()
     return InvariantResult(len(sizes), tuple(sizes), polynomial_text(sizes))
 
 

@@ -11,7 +11,7 @@ import pytest
 import semiquandles
 from semiquandles.algebra import (StructureError, builtin_bundle,
                                   format_table_text, parse_table_text)
-from semiquandles.cli import main
+from semiquandles.cli import _build_parser, main
 
 T4_SING_TEXT = format_table_text(builtin_bundle("t4_sing"))
 
@@ -136,7 +136,7 @@ def test_enumerate_requires_n(capsys):
 
 def test_enumerate_budget_exhaustion_exits_3(capsys):
     rc, _, err = run(capsys, "enumerate", "--n", "3", "--budget", "50", "--json")
-    assert rc == 3 and "budget exceeded" in err
+    assert rc == 3 and err.count("budget exceeded") == 1
 
 
 def test_enumerate_negative_budget_is_invalid_input(capsys):
@@ -180,7 +180,7 @@ def test_count_budget_exhaustion_exits_3(tmp_path, capsys):
                        "--budget", "50")
     assert rc == 3 and not out
     assert err.startswith("budget exceeded:") and len(err.splitlines()) == 1
-    assert "colorings found" in err
+    assert "colorings found" in err and err.count("budget exceeded") == 1
     rc, out, _ = run(capsys, "count", "--table", "t4", "--code", str(f))
     assert rc == 0 and json.loads(out) == {"count": 4}
 
@@ -303,6 +303,38 @@ def test_unknown_verb_exits_2():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])
     assert e.value.code == 2
+
+
+def test_reused_parser_answers_like_a_fresh_one(tmp_path, capsys):
+    def call(argv):
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = ("SystemExit", e.code)
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    f1, f2 = _twist_files(tmp_path)
+    calls = [
+        ["enumerate", "--n", "3", "--iso"],
+        ["enumerate", "--n", "3"],
+        ["vassiliev", "--k1", f1, "--k2", f2, "--probes", "t4_sing"],
+        ["vassiliev", "--k1", f1, "--k2", f2],
+        ["count", "--n", "x"],
+        ["poly", "--help"],
+        ["count", "--table", "t4", "--builtin", "flat_kishino"],
+    ]
+    _build_parser.cache_clear()
+    reused = [call(argv) for argv in calls]
+    assert _build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert reused == fresh
+    assert reused[0] != reused[1] and reused[2] != reused[3]
+    assert reused[4][0] == ("SystemExit", 2) and "usage:" in reused[4][2]
+    assert reused[5][0] == ("SystemExit", 0) and "--budget" in reused[5][1]
 
 
 def test_jobs_never_changes_output_bytes(capsys):

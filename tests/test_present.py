@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import semiquandles.present as present
 from semiquandles.algebra import (ResourceBudgetExceeded, StructureBundle,
                                   builtin_bundle, evaluate, subclosure)
 from semiquandles.diagram import extract_relations
@@ -208,6 +209,21 @@ def test_hand_written_presentations_match_product_enumeration(text):
     p = parse_presentation(text)
     for name in CODE_BUNDLES["F"]:
         assert_matches_oracle(p, builtin_bundle(name))
+
+
+def test_image_sizes_close_each_value_set_once(monkeypatch):
+    seeds = []
+
+    def counted(bundle, seed):
+        seeds.append(frozenset(seed))
+        return subclosure(bundle, seed)
+    monkeypatch.setattr(present, "subclosure", counted)
+    p = builtin("unlink(2)")
+    result = enhanced_invariant(p, T4)
+    # 16 colorings take 4 single values and 6 pairs: 10 value sets
+    assert result.count == 16
+    assert len(seeds) == len(set(seeds)) == 10
+    assert list(result.image_sizes) == naive_image_sizes(p, T4)
 
 
 @pytest.mark.parametrize("seed, budget", [(5, 700), (10, 2800)])
