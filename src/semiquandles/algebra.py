@@ -498,7 +498,8 @@ def parse_table_text(text: str) -> StructureBundle:
     Line 1 is `semiquandle <n> [singular] [virtual]`, followed by
     whitespace-separated 1-based n x n blocks (up, dn, and hup/hdn when
     singular), separated by blank lines, and a final `v: p1 ... pn` line
-    when virtual.
+    when virtual.  Raises StructureError on malformed text and AxiomError
+    when the tables fail an axiom.
     """
     lines = [ln.strip() for ln in text.strip().splitlines()]
     if not lines:

@@ -21,7 +21,7 @@ from . import algebra, diagram, moves, present
 from .algebra import (AxiomError, ResourceBudgetExceeded, StructureError,
                       StructureBundle, builtin_bundle, format_table_text,
                       parse_table_text, automorphisms, BUILTIN_BUNDLES)
-from .diagram import CodeError, parse_code, extract_relations, builtin_code
+from .diagram import CodeError, parse_code, extract_relations
 from .enumeration import enumerate_semiquandles, enumerate_virtual_structures
 from .present import (PresentationError, MissingExtensionError,
                       parse_presentation, count_colorings, enhanced_invariant,
@@ -50,6 +50,8 @@ def _read(path: str) -> str:
         return Path(path).read_text()
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise InvalidInput(f"{path}: not text ({e.reason})") from None
 
 
 def _load_bundle(spec: str) -> StructureBundle:
@@ -72,10 +74,7 @@ def _load_presentation(args) -> "present.Presentation":
             return parse_presentation(_read(args.presentation))
         if args.code:
             return extract_relations(parse_code(_read(args.code)))
-        try:
-            return builtin_presentation(args.builtin)
-        except KeyError:
-            return extract_relations(builtin_code(args.builtin))
+        return builtin_presentation(args.builtin)
     except (PresentationError, CodeError) as e:
         raise InvalidInput(str(e)) from None
     except KeyError as e:

@@ -129,7 +129,8 @@ def _validate(components) -> None:
 def parse_code(text: str) -> PassCode:
     """Parse the code grammar: one `comp: <pass> <pass> ...` line per
     component; pass = `<Kind><id>.<role>` with Kind in {F, S, V, C} and
-    classical roles carrying a sign tag, e.g. `C1.over+`."""
+    classical roles carrying a sign tag, e.g. `C1.over+`.  Raises
+    CodeError on malformed text or an invalid code."""
     comps = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

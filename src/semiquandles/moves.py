@@ -6,18 +6,24 @@ singular slide sR2, and the flat-flat-singular triangle sR3.  Singular
 crossings are never created or removed, so sR2/sR3 exist only as
 rewrites while the R1/R2 moves also insert and delete crossings.
 
-A triangle or slide site is matched against a table of sound
-configurations.  Soundness of a configuration means: the multiset of
-boundary colorings (strand input and output colors admitting a
-consistent internal coloring) is identical on both sides of the
-rewrite, for every valid structure bundle, which makes the coloring
-sets of the two codes correspond bijectively.  The triangle table is
-generated from a two-part rule (see `_sound`), and the test suite
-re-derives it by exhaustive search over all role/order assignments,
+The catalog is generated from three rules rather than listed: a kink
+(`_kink`, one strand through both passes of a crossing) gives fR1/vR1,
+a bigon (`_bigon`, two strands through two crossings, each taking
+opposite roles at its two) gives fR2/vR2 and both singular slides, and
+a triangle rule (`_sound`) gives the three-strand moves.  Every move is
+matched the same way: the passes at a site are relabeled into a
+canonical descriptor and looked up in a table of sound configurations.
+
+Soundness of a configuration means: the multiset of boundary colorings
+(strand input and output colors admitting a consistent internal
+coloring) is identical on both sides of the rewrite, for every valid
+structure bundle, which makes the coloring sets of the two codes
+correspond bijectively.  The test suite re-derives the insert and
+triangle catalogs by exhaustive search over all role/order assignments,
 checked against a diverse set of bundles.  The flat-flat-virtual
-triangle is the forbidden move: no role assignment for it is sound,
-and `apply_forbidden` exposes it separately so tests can demonstrate
-that it changes invariants.
+triangle is the forbidden move: no role assignment for it is sound, and
+`apply_forbidden` exposes it separately so tests can demonstrate that
+it changes invariants.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .diagram import (FLAT, SING, VIRT, CodeError, Pass, PassCode,
+from .diagram import (_ROLES, FLAT, SING, VIRT, Pass, PassCode,
                       component_text)
 
 MOVE_IDS = ("fR1", "fR2", "fR3", "vR1", "vR2", "vR3", "mixed", "sR2", "sR3")
@@ -53,40 +59,58 @@ class MoveSpec:
 
 
 # ---------------------------------------------------------------------------
-# insert / delete templates
+# kink and bigon rules
 #
-# Each template lists the inserted segments, one per strand, as
-# (crossing placeholder, kind, role) pairs.  All entries are sound:
-# the inserted relations have a unique internal solution whose outputs
-# equal the inputs (fR1 by axioms 0 and i, parallel fR2 by axiom ii,
-# antiparallel fR2 and the virtual moves checked exhaustively).
+# A template lists one segment per strand as (crossing placeholder, kind,
+# role) pairs.  A role is named by its index in the kind's role pair
+# (0: sup or v+, 1: sub or v-).  Every insert template is sound: the
+# inserted relations have a unique internal solution whose outputs equal
+# the inputs, and the test suite finds exactly these among all kinks and
+# bigons of one kind.
+
+def _kink(kind: str, lead: int) -> tuple:
+    """One strand through both passes of X, taking role `lead` first."""
+    roles = _ROLES[kind]
+    return ((("X", kind, roles[lead]), ("X", kind, roles[1 - lead])),)
+
+
+def _bigon(kx: str, ky: str, lead: int, antiparallel: bool) -> tuple:
+    """Two strands through X (of kind kx) and Y (of kind ky).  Strand 0
+    takes role `lead` at X and the other role at Y, strand 1 the opposite
+    role at each; strand 1 meets Y first when the bigon is antiparallel."""
+    rx, ry = _ROLES[kx], _ROLES[ky]
+    s0 = (("X", kx, rx[lead]), ("Y", ky, ry[1 - lead]))
+    s1 = (("X", kx, rx[1 - lead]), ("Y", ky, ry[lead]))
+    return s0, s1[::-1] if antiparallel else s1
+
+
+_R2_VARIANTS = (("direct", 0, False), ("mirror", 1, False),
+                ("reverse", 0, True), ("reverse_mirror", 1, True))
 
 _INSERTS = {
-    ("fR1", "sup_first"): ((("X", FLAT, "sup"), ("X", FLAT, "sub")),),
-    ("fR1", "sub_first"): ((("X", FLAT, "sub"), ("X", FLAT, "sup")),),
-    ("fR2", "direct"): ((("X", FLAT, "sup"), ("Y", FLAT, "sub")),
-                        (("X", FLAT, "sub"), ("Y", FLAT, "sup"))),
-    ("fR2", "mirror"): ((("X", FLAT, "sub"), ("Y", FLAT, "sup")),
-                        (("X", FLAT, "sup"), ("Y", FLAT, "sub"))),
-    ("fR2", "reverse"): ((("X", FLAT, "sup"), ("Y", FLAT, "sub")),
-                         (("Y", FLAT, "sup"), ("X", FLAT, "sub"))),
-    ("fR2", "reverse_mirror"): ((("X", FLAT, "sub"), ("Y", FLAT, "sup")),
-                                (("Y", FLAT, "sub"), ("X", FLAT, "sup"))),
-    ("vR1", "vp_first"): ((("X", VIRT, "v+"), ("X", VIRT, "v-")),),
-    ("vR1", "vm_first"): ((("X", VIRT, "v-"), ("X", VIRT, "v+")),),
-    ("vR2", "direct"): ((("X", VIRT, "v+"), ("Y", VIRT, "v-")),
-                        (("X", VIRT, "v-"), ("Y", VIRT, "v+"))),
-    ("vR2", "mirror"): ((("X", VIRT, "v-"), ("Y", VIRT, "v+")),
-                        (("X", VIRT, "v+"), ("Y", VIRT, "v-"))),
-    ("vR2", "reverse"): ((("X", VIRT, "v+"), ("Y", VIRT, "v-")),
-                         (("Y", VIRT, "v+"), ("X", VIRT, "v-"))),
-    ("vR2", "reverse_mirror"): ((("X", VIRT, "v-"), ("Y", VIRT, "v+")),
-                                (("Y", VIRT, "v-"), ("X", VIRT, "v+"))),
+    ("fR1", "sup_first"): _kink(FLAT, 0),
+    ("fR1", "sub_first"): _kink(FLAT, 1),
+    ("vR1", "vp_first"): _kink(VIRT, 0),
+    ("vR1", "vm_first"): _kink(VIRT, 1),
+    **{(move, variant): _bigon(kind, kind, lead, anti)
+       for move, kind in (("fR2", FLAT), ("vR2", VIRT))
+       for variant, lead, anti in _R2_VARIANTS},
 }
+
+# the direct singular slide moves the flat crossing from before the
+# singular one to after it on both (parallel) strands
+_SLIDE_SIDES = (("sR2", "flat_first", _bigon(FLAT, SING, 0, False)),
+                ("sR2", "sing_first", _bigon(SING, FLAT, 0, False)))
+
+# antiparallel slide (the strands meet the two crossings in opposite
+# orders): sound by boundary-solution equivalence, but kept out of the
+# primitive catalog as the reverse singular R2 derived move
+_REVERSE_SLIDE_SIDES = (("sR2_reverse", "sup_lead", _bigon(FLAT, SING, 0, True)),
+                        ("sR2_reverse", "sub_lead", _bigon(FLAT, SING, 1, True)))
 
 
 # ---------------------------------------------------------------------------
-# rewrite configurations
+# triangle rule
 #
 # A triangle configuration is kinds:firsts:prims where kinds gives the
 # crossing kinds at A=(strand0,strand1), B=(strand0,strand2),
@@ -121,207 +145,114 @@ def _sound(kinds: str, f: tuple, p: tuple) -> bool:
 # suite re-derives the set by exhaustive boundary-solution search
 _SOUND_TRIANGLES = _triangle_tokens(_TRIANGLE_MOVE, _sound)
 
-# the two sides of the direct singular slide: the flat crossing moves
-# from before the singular crossing to after it on both strands
-_SLIDE_SIDES = (
-    ("flat_first", ((("X", FLAT, "sup"), ("Y", SING, "sub")),
-                    (("X", FLAT, "sub"), ("Y", SING, "sup")))),
-    ("sing_first", ((("X", SING, "sup"), ("Y", FLAT, "sub")),
-                    (("X", SING, "sub"), ("Y", FLAT, "sup")))),
-)
-
-# antiparallel slide (the strands meet the two crossings in opposite
-# orders): sound by boundary-solution equivalence, but kept out of the
-# primitive catalog as the reverse singular R2 derived move
-_REVERSE_SLIDE_SIDES = (
-    ("sup_lead", ((("X", FLAT, "sup"), ("Y", SING, "sub")),
-                  (("Y", SING, "sup"), ("X", FLAT, "sub")))),
-    ("sub_lead", ((("X", FLAT, "sub"), ("Y", SING, "sup")),
-                  (("Y", SING, "sub"), ("X", FLAT, "sup")))),
-)
-
 _CROSS_STRANDS = {"A": (0, 1), "B": (0, 2), "C": (1, 2)}
 _STRAND_CROSSINGS = {0: "AB", 1: "AC", 2: "BC"}
-_PRIMARY_ROLES = {FLAT: ("sup", "sub"), SING: ("sup", "sub"), VIRT: ("v+", "v-")}
 
 
-def _config_strands(kinds: str, firsts: str, prims: str) -> list:
-    """Expand a kinds:firsts:prims config into per-strand pass templates."""
-    kind_of = dict(zip("ABC", kinds))
-    roles = {}
-    for ci, cx in enumerate("ABC"):
-        p, q = _PRIMARY_ROLES[kind_of[cx]]
-        s_pair = _CROSS_STRANDS[cx]
-        bit = int(prims[ci])
-        roles[(cx, s_pair[bit])] = p
-        roles[(cx, s_pair[1 - bit])] = q
-    strands = []
-    for s in range(3):
-        xs = _STRAND_CROSSINGS[s]
-        order = xs if firsts[s] == "0" else xs[::-1]
-        strands.append(tuple((cx, kind_of[cx], roles[(cx, s)]) for cx in order))
-    return strands
+def _triangles(tokens: str) -> list:
+    """(move, token, strands) of each kinds:firsts:prims token."""
+    out = []
+    for token in tokens.split():
+        kinds, firsts, prims = token.split(":")
+        kind_of = dict(zip("ABC", kinds))
+        roles = {}
+        for cx, bit in zip("ABC", map(int, prims)):
+            pair = _CROSS_STRANDS[cx]
+            p, q = _ROLES[kind_of[cx]]
+            roles[(cx, pair[bit])] = p
+            roles[(cx, pair[1 - bit])] = q
+        strands = []
+        for s, first in enumerate(firsts):
+            xs = _STRAND_CROSSINGS[s]
+            strands.append(tuple((cx, kind_of[cx], roles[(cx, s)])
+                                 for cx in (xs if first == "0" else xs[::-1])))
+        out.append((_TRIANGLE_MOVE.get(kinds, "forbidden"), token, strands))
+    return out
 
+
+# ---------------------------------------------------------------------------
+# descriptor tables
 
 def _canonical_descriptor(strands) -> tuple:
     """Relabel crossings by first appearance across the ordered strands."""
     names = {}
-    desc = []
-    for st in strands:
-        seg = []
-        for cx, kind, role in st:
-            idx = names.setdefault(cx, len(names))
-            seg.append((idx, kind, role))
-        desc.append(tuple(seg))
-    return tuple(desc)
+    return tuple(tuple((names.setdefault(cx, len(names)), kind, role)
+                       for cx, kind, role in st) for st in strands)
 
 
 def _expand_table(entries, action: str) -> dict:
-    """Close a config list under strand reordering, keyed by descriptor."""
+    """Close (move, variant, strands) entries under strand reordering,
+    keyed by descriptor; the first entry reaching a descriptor keeps it."""
     table = {}
     for move, variant, strands in entries:
-        for perm in itertools.permutations(range(len(strands))):
-            desc = _canonical_descriptor([strands[i] for i in perm])
-            table.setdefault(desc, (move, variant, action))
+        for perm in itertools.permutations(strands):
+            table.setdefault(_canonical_descriptor(perm), (move, variant, action))
     return table
 
 
-def _triangle_entries(packed: str):
-    for tok in packed.split():
-        kinds, firsts, prims = tok.split(":")
-        yield (_TRIANGLE_MOVE.get(kinds, "forbidden"), tok,
-               _config_strands(kinds, firsts, prims))
+# a delete site lists its segments in template order, so only the
+# template order is a key
+_DELETES = {_canonical_descriptor(template): (move, variant, "delete")
+            for (move, variant), template in _INSERTS.items()}
 
-
-def _slide_entries(sides, move: str):
-    for variant, strands in sides:
-        yield (move, variant, strands)
-
-
-_REWRITES = _expand_table(_triangle_entries(_SOUND_TRIANGLES), "swap")
-_REWRITES.update(_expand_table(_slide_entries(_SLIDE_SIDES, "sR2"), "slide"))
+_REWRITES = _expand_table(_triangles(_SOUND_TRIANGLES), "swap")
+_REWRITES.update(_expand_table(_SLIDE_SIDES, "slide"))
 
 # forbidden flat-flat-virtual triangles, every role/order assignment;
 # deliberately not merged into _REWRITES
 _FORBIDDEN = _expand_table(
-    _triangle_entries(_triangle_tokens(("FFV", "FVF", "VFF"), lambda *_: True)),
-    "swap")
+    _triangles(_triangle_tokens(("FFV", "FVF", "VFF"), lambda *_: True)), "swap")
 
-_REVERSE_SLIDE = _expand_table(
-    _slide_entries(_REVERSE_SLIDE_SIDES, "sR2_reverse"), "slide")
+_REVERSE_SLIDE = _expand_table(_REVERSE_SLIDE_SIDES, "slide")
 
 
 # ---------------------------------------------------------------------------
 # matching
 
-def _semiarc_positions(code: PassCode) -> list:
-    out = []
-    for ci, comp in enumerate(code.components):
-        for i in range(max(len(comp), 1)):
-            out.append((ci, i))
-    return out
-
-
-def _segments(code: PassCode) -> list:
-    """Non-wrapping adjacent pass pairs whose passes sit at distinct
-    crossings (candidate rewrite strands)."""
-    out = []
-    for ci, comp in enumerate(code.components):
-        for i in range(len(comp) - 1):
-            if comp[i].crossing != comp[i + 1].crossing:
-                out.append((ci, i))
-    return out
-
-
-def _kink_sites(code: PassCode, kind: str) -> list:
-    """Adjacent pairs that are the two passes of one crossing of `kind`."""
-    out = []
-    for ci, comp in enumerate(code.components):
-        for i in range(len(comp) - 1):
-            if comp[i].kind == kind and comp[i].crossing == comp[i + 1].crossing:
-                out.append((ci, i))
-    return out
-
-
-def _disjoint(sites) -> bool:
-    for (c1, i1), (c2, i2) in itertools.combinations(sites, 2):
-        if c1 == c2 and abs(i1 - i2) < 2:
-            return False
-    return True
-
-
-def _site_passes(code: PassCode, site) -> list:
-    """The two passes of each segment site, as one list per segment."""
-    segs = []
-    for ci, i in site:
-        comp = code.components[ci]
-        if i < 0 or i + 1 >= len(comp):
-            raise MoveError(f"no segment at {(ci, i)}")
-        segs.append((comp[i], comp[i + 1]))
-    return segs
-
-
 def _descriptor_at(code: PassCode, site) -> tuple:
-    segs = _site_passes(code, site)
-    crossings = [p.crossing for seg in segs for p in seg]
-    for x in set(crossings):
-        if crossings.count(x) != 2:
-            raise MoveError(f"crossing {x} does not occur twice in the site")
-    return _canonical_descriptor(
-        [tuple((p.crossing, p.kind, p.role) for p in seg) for seg in segs])
+    """The canonical descriptor of the two-pass segment starting at each
+    position of the site; MoveError when a position starts no segment."""
+    comps = code.components
+    strands = []
+    for ci, i in site:
+        if not (0 <= ci < len(comps) and 0 <= i < len(comps[ci]) - 1):
+            raise MoveError(f"no segment at {(ci, i)}")
+        strands.append(tuple((p.crossing, p.kind, p.role) for p in comps[ci][i:i + 2]))
+    return _canonical_descriptor(strands)
 
 
-def _match_segment(passes, template, binding) -> bool:
-    for p, (ph, kind, role) in zip(passes, template):
-        if p.kind != kind or p.role != role:
-            return False
-        if ph in binding:
-            if binding[ph] != p.crossing:
-                return False
-        elif p.crossing in binding.values():
-            return False
-        else:
-            binding[ph] = p.crossing
-    return True
+def _matches(code: PassCode, table: dict, choose) -> list:
+    """MoveSpec of every site whose descriptor the table holds.
 
-
-def _delete_matches(code: PassCode, template) -> list:
-    """Sites where the insert template's segments appear verbatim."""
-    segs = _segments(code) + _kink_sites(code, template[0][0][1])
+    Sites are the choices (`itertools.permutations` when segment order
+    matters, `combinations` when the table holds every order) of
+    non-wrapping segments.  A table descriptor has k crossings on its k
+    segments and never repeats a pass, so only sites touching exactly k
+    crossings are looked up, and sites that overlap never match.
+    """
+    segs = {(ci, i): (comp[i].crossing, comp[i + 1].crossing)
+            for ci, comp in enumerate(code.components)
+            for i in range(len(comp) - 1)}
     found = []
-    if len(template) == 1:
-        for s in segs:
-            if _match_segment(_site_passes(code, (s,))[0], template[0], {}):
-                found.append((s,))
-        return found
-    for s0, s1 in itertools.permutations(segs, 2):
-        if not _disjoint((s0, s1)):
-            continue
-        binding = {}
-        (p0, p1) = _site_passes(code, (s0, s1))
-        if _match_segment(p0, template[0], binding) and \
-                _match_segment(p1, template[1], binding):
-            found.append((s0, s1))
-    return found
-
-
-def _rewrite_matches(code: PassCode, table) -> list:
-    """(site, move, variant, action) for every table descriptor present."""
-    segs = _segments(code)
-    found = []
-    sizes = {len(d) for d in table}
-    for k in sorted(sizes):
-        for combo in itertools.combinations(segs, k):
-            if not _disjoint(combo):
+    for k in sorted({len(d) for d in table}):
+        for site in choose(segs, k):
+            if len({x for s in site for x in segs[s]}) != k:
                 continue
-            try:
-                desc = _descriptor_at(code, combo)
-            except MoveError:
-                continue
-            hit = table.get(desc)
+            hit = table.get(_descriptor_at(code, site))
             if hit:
-                found.append((combo, *hit))
+                move, variant, action = hit
+                direction = "delete" if action == "delete" else "apply"
+                found.append(MoveSpec(move, direction, site, variant))
     return found
+
+
+def _lookup(code: PassCode, m: MoveSpec, table: dict) -> str:
+    """The action of m at its site; MoveError unless the table holds the
+    site's descriptor under m's move and variant."""
+    hit = table.get(_descriptor_at(code, m.site))
+    if hit is None or hit[:2] != (m.move, m.variant):
+        raise MoveError(f"{m.move}/{m.variant} pattern absent at {m.site}")
+    return hit[2]
 
 
 # ---------------------------------------------------------------------------
@@ -360,36 +291,19 @@ def _insert(code: PassCode, m: MoveSpec) -> PassCode:
     return PassCode(tuple(tuple(c) for c in comps))
 
 
-def _delete(code: PassCode, m: MoveSpec) -> PassCode:
-    template = _INSERTS.get((m.move, m.variant))
-    if template is None:
-        raise MoveError(f"unknown delete {m.move}/{m.variant}")
-    if not _disjoint(m.site):
-        raise MoveError("delete sites overlap")
-    binding = {}
-    segs = _site_passes(code, m.site)
-    if len(segs) != len(template) or not all(
-            _match_segment(seg, tmpl, binding)
-            for seg, tmpl in zip(segs, template)):
-        raise MoveError(f"{m.move}/{m.variant} pattern absent at {m.site}")
-    drop = sorted(((ci, j) for ci, i in m.site for j in (i, i + 1)), reverse=True)
-    comps = [list(c) for c in code.components]
-    for ci, j in drop:
-        del comps[ci][j]
-    return PassCode(tuple(tuple(c) for c in comps))
-
-
 _FLIP = {"sup": "sub", "sub": "sup"}
 
 
-def _apply_rewrite(code: PassCode, site, action: str) -> PassCode:
+def _apply_at(code: PassCode, site, action: str) -> PassCode:
+    """Delete, swap, or swap with both roles flipped (slide) the two
+    passes of each segment of a matched site."""
     comps = [list(c) for c in code.components]
-    for ci, i in site:
-        a, b = comps[ci][i], comps[ci][i + 1]
+    for ci, i in sorted(site, reverse=True):
+        a, b = comps[ci][i:i + 2]
         if action == "slide":
             a = Pass(a.kind, a.cid, _FLIP[a.role])
             b = Pass(b.kind, b.cid, _FLIP[b.role])
-        comps[ci][i], comps[ci][i + 1] = b, a
+        comps[ci][i:i + 2] = [] if action == "delete" else [b, a]
     return PassCode(tuple(tuple(c) for c in comps))
 
 
@@ -402,18 +316,10 @@ def apply_move(code: PassCode, m: MoveSpec) -> PassCode:
     """
     if m.direction == "insert":
         return _insert(code, m)
-    if m.direction == "delete":
-        return _delete(code, m)
-    if m.direction != "apply":
+    table = {"delete": _DELETES, "apply": _REWRITES}.get(m.direction)
+    if table is None:
         raise MoveError(f"unknown direction {m.direction!r}")
-    desc = _descriptor_at(code, m.site)
-    hit = _REWRITES.get(desc)
-    if hit is None or hit[0] != m.move:
-        raise MoveError(f"{m.move} pattern absent at {m.site}")
-    move, variant, action = hit
-    if variant != m.variant:
-        raise MoveError(f"variant mismatch at {m.site}: found {variant}")
-    return _apply_rewrite(code, m.site, action)
+    return _apply_at(code, m.site, _lookup(code, m, table))
 
 
 def inverse_of(code_after: PassCode, m: MoveSpec) -> MoveSpec:
@@ -443,62 +349,40 @@ def inverse_of(code_after: PassCode, m: MoveSpec) -> MoveSpec:
     if len(sites) == 2 and sites[0] == sites[1] and m.site[0] > m.site[1]:
         # adjacent segments collapse onto one site, where _insert lays
         # them in template order: take the variant listing them reversed
-        variant = _swapped_variant(m.move, m.variant)
+        reversed_template = _INSERTS[(m.move, m.variant)][::-1]
+        variant = _DELETES[_canonical_descriptor(reversed_template)][1]
     return MoveSpec(m.move, "insert", tuple(sites), variant)
-
-
-def _swapped_variant(move: str, variant: str) -> str:
-    """The variant of a two-strand insert whose template lists the same
-    segments in the other order."""
-    want = _canonical_descriptor(_INSERTS[(move, variant)][::-1])
-    return next(v for (mv, v), template in sorted(_INSERTS.items())
-                if mv == move and _canonical_descriptor(template) == want)
 
 
 def applicable_moves(code: PassCode) -> list:
     """Every applicable (move, direction, site, variant), sorted."""
-    out = []
-    positions = _semiarc_positions(code)
-    for (move, variant), template in sorted(_INSERTS.items()):
-        if len(template) == 1:
-            out.extend(MoveSpec(move, "insert", (p,), variant) for p in positions)
-        else:
-            out.extend(MoveSpec(move, "insert", (p, q), variant)
-                       for p in positions for q in positions if p != q)
-        out.extend(MoveSpec(move, "delete", site, variant)
-                   for site in _delete_matches(code, template))
-    for site, move, variant, _ in _rewrite_matches(code, _REWRITES):
-        out.append(MoveSpec(move, "apply", site, variant))
+    positions = [(ci, i) for ci, comp in enumerate(code.components)
+                 for i in range(max(len(comp), 1))]
+    out = [MoveSpec(move, "insert", site, variant)
+           for (move, variant), template in _INSERTS.items()
+           for site in itertools.permutations(positions, len(template))]
+    out += _matches(code, _DELETES, itertools.permutations)
+    out += _matches(code, _REWRITES, itertools.combinations)
     return sorted(out)
 
 
 def forbidden_sites(code: PassCode) -> list:
     """Sites where the forbidden flat-flat-virtual triangle matches."""
-    return sorted(
-        MoveSpec("forbidden", "apply", site, variant)
-        for site, _, variant, _ in _rewrite_matches(code, _FORBIDDEN))
+    return sorted(_matches(code, _FORBIDDEN, itertools.combinations))
 
 
 def apply_forbidden(code: PassCode, m: MoveSpec) -> PassCode:
     """Apply the forbidden move; used only to demonstrate non-invariance."""
-    desc = _descriptor_at(code, m.site)
-    if _FORBIDDEN.get(desc, (None, None))[1] != m.variant:
-        raise MoveError(f"forbidden pattern absent at {m.site}")
-    return _apply_rewrite(code, m.site, "swap")
+    return _apply_at(code, m.site, _lookup(code, m, _FORBIDDEN))
 
 
 def reverse_slide_sites(code: PassCode) -> list:
     """Sites of the reverse singular R2 (a derived move, not catalog)."""
-    return sorted(
-        MoveSpec("sR2_reverse", "apply", site, variant)
-        for site, _, variant, _ in _rewrite_matches(code, _REVERSE_SLIDE))
+    return sorted(_matches(code, _REVERSE_SLIDE, itertools.combinations))
 
 
 def apply_reverse_slide(code: PassCode, m: MoveSpec) -> PassCode:
-    desc = _descriptor_at(code, m.site)
-    if _REVERSE_SLIDE.get(desc, (None, None))[1] != m.variant:
-        raise MoveError(f"reverse slide pattern absent at {m.site}")
-    return _apply_rewrite(code, m.site, "slide")
+    return _apply_at(code, m.site, _lookup(code, m, _REVERSE_SLIDE))
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +454,7 @@ def random_code(budget: dict, seed: int = 0) -> PassCode:
     passes = []
     for kind in (FLAT, SING, VIRT):
         count = rng.randint(0, budget.get(kind, 0))
-        r1, r2 = _PRIMARY_ROLES[kind]
+        r1, r2 = _ROLES[kind]
         for cid in range(1, count + 1):
             passes.append(Pass(kind, cid, r1))
             passes.append(Pass(kind, cid, r2))
@@ -593,8 +477,7 @@ def random_applicable_move(code: PassCode, seed: int = 0):
 # ---------------------------------------------------------------------------
 # randomized invariance trials
 
-_REWRITE_IDS = ("fR3", "vR3", "mixed", "sR2", "sR3")
-_INSERT_IDS = ("fR1", "fR2", "vR1", "vR2")
+_INSERT_IDS = {move for move, _ in _INSERTS}
 
 
 def _materialize(desc) -> PassCode:
@@ -613,7 +496,7 @@ def _decorate(code: PassCode, rng: random.Random, kinds: str) -> PassCode:
         kind = rng.choice(kinds)
         cid = max((c for k, c in code.crossings() if k == kind), default=0) \
             + rng.randint(1, 3)
-        r1, r2 = _PRIMARY_ROLES[kind]
+        r1, r2 = _ROLES[kind]
         ci = rng.randrange(len(comps))
         comps[ci] += [Pass(kind, cid, r1), Pass(kind, cid, r2)]
         code = PassCode(tuple(tuple(c) for c in comps))
@@ -622,14 +505,7 @@ def _decorate(code: PassCode, rng: random.Random, kinds: str) -> PassCode:
     return code
 
 
-def _descriptors_by_move() -> dict:
-    by_move = {}
-    for desc, (move, variant, _) in sorted(_REWRITES.items()):
-        by_move.setdefault(move, []).append((desc, variant))
-    return by_move
-
-
-def _trial_case(move: str, kinds: str, rng: random.Random, by_move: dict):
+def _trial_case(move: str, kinds: str, rng: random.Random):
     """A (code, MoveSpec) pair exercising the given move id."""
     if move in _INSERT_IDS:
         candidates = []
@@ -639,8 +515,8 @@ def _trial_case(move: str, kinds: str, rng: random.Random, by_move: dict):
             code = random_code(budget, seed=rng.randrange(2 ** 30))
             candidates = [m for m in applicable_moves(code) if m.move == move]
         return code, rng.choice(candidates)
-    pool = [(d, v) for d, v in by_move[move]
-            if all(kind in kinds for seg in d for _, kind, _ in seg)]
+    pool = sorted((d, v) for d, (mv, v, _) in _REWRITES.items() if mv == move
+                  and all(kind in kinds for seg in d for _, kind, _ in seg))
     desc, variant = rng.choice(pool)
     code = _decorate(_materialize(desc), rng, kinds)
     site = tuple((ci, 0) for ci in range(len(desc)))
@@ -674,14 +550,12 @@ def run_move_trials(bundles, trials: int = 500, seed: int = 0) -> dict:
     rng = random.Random(seed)
     per_move = {m: 0 for m in MOVE_IDS}
     failures = []
-    by_move = _descriptors_by_move()
-    ids = [m for m in MOVE_IDS]
     for t in range(trials):
-        move = ids[t % len(ids)]
+        move = MOVE_IDS[t % len(MOVE_IDS)]
         options = [x for x in lifted if
                    (SING in x[2] or move not in ("sR2", "sR3"))]
-        name, bundle, kinds = options[(t // len(ids)) % len(options)]
-        code, spec = _trial_case(move, kinds, rng, by_move)
+        name, bundle, kinds = options[(t // len(MOVE_IDS)) % len(options)]
+        code, spec = _trial_case(move, kinds, rng)
         before = enhanced_invariant(extract_relations(code), bundle)
         moved = apply_move(code, spec)
         after = enhanced_invariant(extract_relations(moved), bundle)

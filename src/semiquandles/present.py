@@ -44,14 +44,6 @@ class Presentation:
     def kinds_used(self) -> frozenset:
         return frozenset(rel.kind for rel in self.relations)
 
-    def renamed(self, mapping: dict) -> "Presentation":
-        gens = tuple(mapping[g] for g in self.generators)
-        rels = tuple(
-            Relation(r.kind, tuple(mapping[a] for a in r.args), mapping[r.result])
-            for r in self.relations
-        )
-        return Presentation(gens, rels)
-
 
 _REL_RE = re.compile(r"^(up|dn|hup|hdn)\(\s*(\w+)\s*,\s*(\w+)\s*\)\s*=\s*(\w+)$")
 _V_RE = re.compile(r"^v\(\s*(\w+)\s*\)\s*=\s*(\w+)$")
@@ -63,7 +55,8 @@ def parse_presentation(text: str) -> Presentation:
     One relation per line or `;`-separated: `up(a,b)=c`, `dn(a,b)=c`,
     `hup(a,b)=c`, `hdn(a,b)=c`, `v(a)=b`.  An optional `gens: a b c` line
     declares generators; otherwise they are inferred in first-appearance
-    order.  `#` starts a comment.
+    order.  `#` starts a comment.  Raises PresentationError on any text
+    outside this grammar.
     """
     generators = []
     declared = None
@@ -366,47 +359,22 @@ def enhanced_invariant(p: Presentation, bundle: StructureBundle,
 # ---------------------------------------------------------------------------
 # built-in presentations
 
-# Fundamental presentation of the flat Kishino knot: two two-crossing halves
-# joined in a single 8-semiarc cycle a b c d e f g h.
-_KISHINO = """\
-gens: a b c d e f g h
-up(a,c)=b; dn(c,a)=d; up(b,d)=c; dn(d,b)=e
-up(e,g)=f; dn(g,e)=h; up(f,h)=g; dn(h,f)=a
-"""
-
-_TCT = """\
-gens: a b c d
-hup(a,c)=b; hdn(c,a)=d; up(d,b)=a; dn(b,d)=c
-"""
-
-_SU1 = """\
-gens: a b
-hup(a,b)=b; hdn(b,a)=a
-"""
-
-_UNLINK_RE = re.compile(r"^unlink\((\d+)\)$")
+# at most three digits, so that no name builds more than 999 generators
+_UNLINK_RE = re.compile(r"^unlink\((\d{1,3})\)$")
 
 
 def builtin(name: str) -> Presentation:
-    """Built-in presentations.
-
-    flat_kishino, triple_crazy_trefoil, singular_unknot_1, unknot, and
-    unlink(k) for the crossing-free k-component diagram.
+    """Built-in presentations: the relations of each builtin code of
+    `diagram` (flat_kishino, triple_crazy_trefoil, singular_unknot_1,
+    unknot, ...), and unlink(k) for the crossing-free k-component
+    diagram, 0 <= k <= 999.  KeyError for any other name.
     """
-    if name == "flat_kishino":
-        return parse_presentation(_KISHINO)
-    if name == "triple_crazy_trefoil":
-        return parse_presentation(_TCT)
-    if name == "singular_unknot_1":
-        return parse_presentation(_SU1)
-    if name == "unknot":
-        return Presentation(("a",), ())
+    from .diagram import builtin_code, extract_relations  # diagram imports present
+
     m = _UNLINK_RE.match(name)
     if m:
-        k = int(m.group(1))
-        gens = tuple(f"a{i}" for i in range(1, k + 1))
-        return Presentation(gens, ())
-    raise KeyError(f"unknown builtin presentation {name!r}")
+        return Presentation(tuple(f"a{i}" for i in range(1, int(m.group(1)) + 1)), ())
+    return extract_relations(builtin_code(name))
 
 
 BUILTIN_PRESENTATIONS = (

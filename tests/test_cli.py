@@ -221,6 +221,15 @@ def test_count_usage_errors(capsys):
     assert rc == 2 and "unknown builtin" in err
 
 
+def test_unlink_builtin_is_bounded(capsys):
+    rc, out, _ = run(capsys, "count", "--table", "t4", "--builtin", "unlink(3)")
+    assert rc == 0 and json.loads(out) == {"count": 64}
+    # a larger k is an unknown name, refused before any generator is built
+    rc, out, err = run(capsys, "count", "--table", "t4", "--builtin", "unlink(5000)")
+    assert rc == 2 and not out
+    assert "unknown builtin" in err and len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # auto
 

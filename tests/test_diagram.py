@@ -2,13 +2,15 @@
 
 import pytest
 
-from semiquandles.algebra import builtin_bundle
+from semiquandles.algebra import BUILTIN_BUNDLES, builtin_bundle
 from semiquandles.diagram import (
     Pass, PassCode, CodeError, parse_code, unknot, extract_relations,
     flatten, smooth_at, glue_at, glue_kink, disjoint_unknot,
     builtin_code,
 )
-from semiquandles.present import count_colorings, enhanced_invariant
+from semiquandles.present import (builtin as builtin_presentation,
+                                  count_colorings, enhanced_invariant,
+                                  parse_presentation)
 
 
 def test_parse_and_text_round_trip():
@@ -54,19 +56,39 @@ def test_extract_relations_counts():
         assert len(p.generators) == 2 * c + w
 
 
+# hand-written fundamental presentations, the oracle for the relations
+# extracted from the builtin codes of the same names
+HAND_WRITTEN = {
+    # two two-crossing halves joined in a single 8-semiarc cycle a..h
+    "flat_kishino": """\
+gens: a b c d e f g h
+up(a,c)=b; dn(c,a)=d; up(b,d)=c; dn(d,b)=e
+up(e,g)=f; dn(g,e)=h; up(f,h)=g; dn(h,f)=a
+""",
+    "triple_crazy_trefoil": """\
+gens: a b c d
+hup(a,c)=b; hdn(c,a)=d; up(d,b)=a; dn(b,d)=c
+""",
+    "singular_unknot_1": """\
+gens: a b
+hup(a,b)=b; hdn(b,a)=a
+""",
+}
+
+
 def test_extract_relations_matches_builtin_presentations():
-    t4 = builtin_bundle("t4")
-    ca3_op = builtin_bundle("ca3_op")
-    from semiquandles.present import builtin as builtin_presentation
-    pairs = (
-        ("flat_kishino", "flat_kishino", t4),
-        ("triple_crazy_trefoil", "triple_crazy_trefoil", ca3_op),
-        ("singular_unknot_1", "singular_unknot_1", ca3_op),
-    )
-    for code_name, pres_name, bundle in pairs:
-        from_code = enhanced_invariant(extract_relations(builtin_code(code_name)), bundle)
-        from_pres = enhanced_invariant(builtin_presentation(pres_name), bundle)
-        assert from_code == from_pres
+    compared = 0
+    for name, text in HAND_WRITTEN.items():
+        oracle = parse_presentation(text)
+        for bundle_name in BUILTIN_BUNDLES:
+            bundle = builtin_bundle(bundle_name)
+            if not oracle.kinds_used() <= set(bundle.ops):
+                continue
+            assert (enhanced_invariant(builtin_presentation(name), bundle)
+                    == enhanced_invariant(oracle, bundle)), (name, bundle_name)
+            compared += 1
+    # flat_kishino over all five bundles, the singular codes over two
+    assert compared == 9
 
 
 def test_unknot_helper():

@@ -16,7 +16,7 @@ from semiquandles.moves import (
     MOVE_IDS, MoveError, MoveSpec, apply_move, inverse_of, applicable_moves,
     canonical, random_code, random_applicable_move, run_move_trials,
     forbidden_sites, apply_forbidden, reverse_slide_sites, apply_reverse_slide,
-    _SOUND_TRIANGLES,
+    _INSERTS, _SOUND_TRIANGLES,
 )
 from semiquandles.present import enhanced_invariant
 
@@ -57,10 +57,12 @@ def boundary_multiset(bundle, strands):
     for si, st in enumerate(strands):
         for pi, (cx, _, _) in enumerate(st):
             incident.setdefault(cx, []).append((si, pi))
-    # per strand, per pass: its operation and the other pass at its crossing
+    # per strand, per pass: its operation and the other pass at its
+    # crossing, found by (strand, pass) index so that a kink's two passes
+    # on one strand are partners
     steps = [[(_op(bundle.ops, kind, role),
-               *next(e for e in incident[cx] if e[0] != si))
-              for cx, kind, role in st]
+               *next(e for e in incident[cx] if e != (si, pi)))
+              for pi, (cx, kind, role) in enumerate(st)]
              for si, st in enumerate(strands)]
     k = len(strands)
     sols = Counter()
@@ -176,6 +178,46 @@ def test_triangle_catalog_matches_exhaustive_boundary_search():
     for fam in ("SVV", "VSV", "VVS"):
         assert len(found[fam]) == 32, fam
         assert in_catalog[fam] == set()
+
+
+def kinks_and_bigons(kind):
+    """Every kink and bigon of one crossing kind: a strand through both
+    passes of X in either role order, and two strands through X and Y in
+    every role assignment, meeting Y second (parallel) or first."""
+    r = {"F": ("sup", "sub"), "V": ("v+", "v-")}[kind]
+    for lead in (0, 1):
+        yield [(("X", kind, r[lead]), ("X", kind, r[1 - lead]))]
+    for x0, y0, antiparallel in itertools.product((0, 1), (0, 1), (False, True)):
+        s1 = (("X", kind, r[1 - x0]), ("Y", kind, r[1 - y0]))
+        yield [(("X", kind, r[x0]), ("Y", kind, r[y0])),
+               s1[::-1] if antiparallel else s1]
+
+
+def relabeled_orders(strands):
+    """The strands in every order, crossings relabeled by first appearance."""
+    out = set()
+    for perm in itertools.permutations(strands):
+        names = {}
+        out.add(tuple(tuple((names.setdefault(cx, len(names)), kind, role)
+                            for cx, kind, role in st) for st in perm))
+    return out
+
+
+def test_insert_catalog_matches_exhaustive_boundary_search():
+    # an insert is sound when its boundary colorings are those of the
+    # bare strands: each output equals its input, once per input tuple
+    sound, configurations = set(), 0
+    for kind in "FV":
+        for strands in kinks_and_bigons(kind):
+            configurations += 1
+            if all(boundary_multiset(b, strands) == Counter(
+                       tuple(x for i in ins for x in (i, i))
+                       for ins in itertools.product(range(b.n), repeat=len(strands)))
+                   for b in ORACLE_BUNDLES):
+                sound |= relabeled_orders(strands)
+    assert configurations == 20
+    catalog = set().union(*map(relabeled_orders, _INSERTS.values()))
+    assert len(_INSERTS) == 12 and sound == catalog
 
 
 def slide_strands(first0, first1, sup_on_0_f, sup_on_0_s):
@@ -305,6 +347,17 @@ def test_apply_move_error_paths():
         apply_move(code, MoveSpec("fR1", "noop", ((0, 0),), "sup_first"))
     with pytest.raises(MoveError):
         apply_move(code, MoveSpec("fR2", "delete", ((0, 0), (0, 1)), "direct"))
+    # a site position outside the code neither wraps nor escapes as IndexError
+    for site in ((5, 0), (-1, 0), (0, -1)):
+        with pytest.raises(MoveError):
+            apply_move(code, MoveSpec("fR1", "delete", (site,), "sup_first"))
+    triangle = parse_code(
+        "comp: F1.sup F2.sup\ncomp: F1.sub F3.sup\ncomp: F2.sub F3.sub\n")
+    m = next(m for m in applicable_moves(triangle) if m.move == "fR3")
+    assert m.site == ((0, 0), (1, 0), (2, 0))
+    for last in ((5, 0), (-1, 0)):
+        with pytest.raises(MoveError):
+            apply_move(triangle, MoveSpec("fR3", "apply", m.site[:2] + (last,), m.variant))
 
 
 def test_random_code_and_choice_are_deterministic():
