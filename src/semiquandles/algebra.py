@@ -189,6 +189,15 @@ class SemiquandleTable:
         object.__setattr__(self, "dn", _freeze(self.dn))
         _raise_for(check_semiquandle(self.up, self.dn))
 
+    @classmethod
+    def _from_frozen(cls, up: tuple, dn: tuple) -> "SemiquandleTable":
+        """A table from rows already built as tuples of int tuples and
+        already checked, without the copy and check of the constructor."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "up", up)
+        object.__setattr__(table, "dn", dn)
+        return table
+
     @property
     def n(self) -> int:
         return len(self.up)

@@ -1,24 +1,27 @@
 """Exhaustive enumeration of semiquandles and their extensions.
 
-Semiquandles of order n are generated by filling the columns of the up
-table with permutations (axiom 0 demands exactly that), deriving the dn
-table from axiom ii, and keeping the pairs that pass the full checker.
+Semiquandles of order n are found by a depth-first search that sets the
+columns of the up table to permutations (axiom 0 demands exactly that),
+reads the dn table through axiom ii, checks each axiom instance as soon
+as every entry it reads is known, and checks the survivors in full.
 Singular extensions are found by backtracking over the cells of hup in
 row-major order, values ascending, with hdn derived from axiom hi and
 each hat-axiom instance checked as soon as the last hup cell it reads is
-set.  Both searches carry an explicit node budget (a full candidate pair
-for semiquandles, one value tried in one hup cell for extensions);
-exceeding it raises instead of truncating silently.
+set.  Both searches carry an explicit node budget (one candidate column
+tuple for semiquandles, a pruned block counting one per candidate in it;
+one value tried in one hup cell for extensions); exceeding it raises
+instead of truncating silently.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .algebra import (ResourceBudgetExceeded, SemiquandleTable,
                       SingularExtension, StructureBundle, check_semiquandle,
-                      automorphisms, column_inverse, perm_compose, perm_inverse)
+                      automorphisms, perm_compose, perm_inverse)
 
 
 @dataclass(frozen=True)
@@ -50,38 +53,151 @@ class CanonicalForm:
         return cls(*best)
 
 
-def _derive_dn(up: tuple, n: int) -> tuple:
-    """dn forced by axiom ii: dn[x][y] is the up-column preimage of x at
-    column up[y][x].  The columns of up are permutations by construction."""
-    up_inv = column_inverse(up)
-    return tuple(tuple(up_inv[x][up[y][x] - 1] for y in range(n))
-                 for x in range(n))
+class _Blocked(Exception):
+    """An axiom instance read a column of up that is not set yet."""
+
+    def __init__(self, column: int):
+        self.column = column
+
+
+class _Unset:
+    """Column c of up, or its inverse, before the search sets it: reading
+    an entry raises _Blocked(c)."""
+
+    __slots__ = ("column",)
+
+    def __init__(self, column: int):
+        self.column = column
+
+    def __getitem__(self, row):
+        raise _Blocked(self.column)
+
+
+def _axiom_instances(n: int, up, dn) -> list:
+    """Every instance of axioms i, ii.b and iii.a-c that check_semiquandle
+    tests, as (column, check) with check() -> bool over the 0-based
+    readers up(r, c) and dn(a, b).  column is the latest column of up
+    that the instance reads whatever the entries are; the columns of its
+    other reads are entries themselves.  Axiom 0 for up holds by
+    construction and axiom ii.a by the derivation of dn, so neither is
+    listed."""
+    r = range(n)
+    out = []
+    for x in r:
+        for y in r:
+            # i: dn[x][y] == y exactly when up[y][x] == x
+            out.append((x, lambda x=x, y=y:
+                        (dn(x, y) == y) == (up(y, x) == x)))
+            # ii.b: dn[up[x][y]][dn[y][x]] == x
+            out.append((y, lambda x=x, y=y: dn(up(x, y), dn(y, x)) == x))
+    for x in r:
+        for y in r:
+            for z in r:
+                last = max(y, z)
+                # iii.a: up[up[x][y]][z] == up[up[x][dn[z][y]]][up[y][z]]
+                out.append((last, lambda x=x, y=y, z=z:
+                            up(up(x, y), z) == up(up(x, dn(z, y)), up(y, z))))
+                # iii.b: up[dn[y][x]][dn[z][up[x][y]]]
+                #        == dn[up[y][z]][up[x][dn[z][y]]]
+                out.append((last, lambda x=x, y=y, z=z:
+                            up(dn(y, x), dn(z, up(x, y)))
+                            == dn(up(y, z), up(x, dn(z, y)))))
+                # iii.c: dn[dn[z][up[x][y]]][dn[y][x]] == dn[dn[z][y]][x]
+                out.append((last, lambda x=x, y=y, z=z:
+                            dn(dn(z, up(x, y)), dn(y, x)) == dn(dn(z, y), x)))
+    return out
+
+
+def _checks_hold(waiting: list, column: int) -> bool:
+    """Run the checks waiting on the column just set, in order, and
+    return False at the first that fails.  A check that reads a column
+    still unset waits on that column instead."""
+    for check in waiting[column]:
+        try:
+            if not check():
+                return False
+        except _Blocked as e:
+            waiting[e.column].append(check)
+    return True
 
 
 def enumerate_semiquandles(n: int, up_to_iso: bool = False,
                            node_budget: int = 10_000_000):
     """Yield every semiquandle of order n in deterministic order.
 
-    Candidates are tuples of up-columns ranging over permutations; each
-    candidate counts as one node against the budget.  With up_to_iso,
+    A depth-first search sets the columns of up in order, each to the
+    permutations in itertools.permutations order, so tables come out in
+    the order of a product over all candidate column tuples.  dn is read
+    through axiom ii, so dn[a][b] is known once columns a and up[b][a]
+    are set.  Each instance of the axioms is checked once every entry it
+    reads is known, and a failing one prunes every candidate below the
+    column just set; each candidate that reaches the last column is
+    checked in full.  One node is one candidate column tuple, counted
+    against the budget whether it is checked or pruned with its block,
+    so the budget is exceeded at the same candidate, with the same
+    tables yielded, as when every candidate is checked.  With up_to_iso,
     one representative per isomorphism class is yielded (the first in
     enumeration order).
     """
     if n < 1:
         raise ValueError("order must be positive")
-    perms = list(itertools.permutations(range(1, n + 1)))
-    nodes = 0
-    found = 0
+    unset = [_Unset(c) for c in range(n)]
+    cols = list(unset)      # cols[c][r] = up[r][c]
+    invs = list(unset)      # invs[c][v] = the r with up[r][c] = v
+
+    def up(r, c):
+        return cols[c][r]
+
+    def dn(a, b):
+        # axiom ii: dn[a][b] is the row of column up[b][a] that holds a
+        return invs[cols[a][b]][a]
+
+    # waiting[c]: the checks to run once column c is set.  A choice for
+    # column c appends only to the lists of later columns, and marks[c]
+    # holds their lengths from before it, so the next choice truncates
+    # them back.
+    waiting = [[] for _ in range(n)]
+    for column, check in _axiom_instances(n, up, dn):
+        waiting[column].append(check)
+    below = [math.factorial(n) ** (n - 1 - c) for c in range(n)]
+    choices = [None] * n
+    marks = [None] * n
+    nodes = found = 0
     seen = set()
-    for columns in itertools.product(perms, repeat=n):
-        nodes += 1
-        if nodes > node_budget:
-            raise ResourceBudgetExceeded(nodes, found)
-        up = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
-        dn = _derive_dn(up, n)
-        if check_semiquandle(up, dn):
+    depth = 0
+    choices[0] = itertools.permutations(range(n))
+    marks[0] = [len(w) for w in waiting]
+    while depth >= 0:
+        column = next(choices[depth], None)
+        if column is None:
+            cols[depth] = invs[depth] = unset[depth]
+            depth -= 1
             continue
-        table = SemiquandleTable(up, dn)
+        inverse = [0] * n
+        for row, v in enumerate(column):
+            inverse[v] = row
+        cols[depth], invs[depth] = column, inverse
+        for c in range(depth + 1, n):
+            del waiting[c][marks[depth][c]:]
+        holds = _checks_hold(waiting, depth)
+        if holds and depth + 1 < n:
+            depth += 1
+            choices[depth] = itertools.permutations(range(n))
+            marks[depth] = [len(w) for w in waiting]
+            continue
+        nodes += below[depth]
+        if nodes > node_budget:
+            # counting one candidate at a time passes the budget at
+            # this candidate, and a pruned block yields nothing
+            raise ResourceBudgetExceeded(max(node_budget, 0) + 1, found)
+        if not holds:
+            continue
+        up_rows = tuple(tuple(col[r] + 1 for col in cols) for r in range(n))
+        dn_rows = tuple(tuple(dn(a, b) + 1 for b in range(n))
+                        for a in range(n))
+        if check_semiquandle(up_rows, dn_rows):
+            continue
+        table = SemiquandleTable._from_frozen(up_rows, dn_rows)
         if up_to_iso:
             key = CanonicalForm.of(table)
             if key in seen:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,21 @@ def test_enumerate_requires_n(capsys):
 def test_enumerate_budget_exhaustion_exits_3(capsys):
     rc, _, err = run(capsys, "enumerate", "--n", "3", "--budget", "50", "--json")
     assert rc == 3 and err.count("budget exceeded") == 1
+
+
+def test_enumerate_order4_iso_classes(capsys):
+    rc, out, _ = run(capsys, "enumerate", "--n", "4", "--iso", "--json")
+    assert rc == 0 and json.loads(out)["count"] == 23
+
+
+def test_enumerate_large_order_reaches_its_budget(capsys):
+    # the candidate columns are generated one at a time: listing the 12!
+    # permutations first would exhaust memory before the first node
+    start = time.perf_counter()
+    rc, _, err = run(capsys, "enumerate", "--n", "12", "--budget", "10")
+    assert time.perf_counter() - start < 2.0
+    assert rc == 3 and len(err.splitlines()) == 1
+    assert err.startswith("budget exceeded: stopped after 11 nodes")
 
 
 def test_enumerate_negative_budget_is_invalid_input(capsys):

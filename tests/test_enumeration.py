@@ -5,10 +5,13 @@ import random
 
 import pytest
 
+import semiquandles.algebra as algebra
+import semiquandles.enumeration as enumeration
 from semiquandles.algebra import (SemiquandleTable, StructureBundle,
                                   automorphisms, builtin_bundle,
                                   check_semiquandle, check_singular,
-                                  make_constant_action, perm_inverse)
+                                  column_inverse, make_constant_action,
+                                  perm_inverse)
 from semiquandles.enumeration import (
     CanonicalForm, ResourceBudgetExceeded, _hat_search_plan,
     enumerate_semiquandles, enumerate_singular_extensions,
@@ -31,6 +34,76 @@ def test_order2_matches_naive_filter():
     got = sorted((t.up, t.dn) for t in enumerate_semiquandles(2))
     assert got == naive_order2()
     assert len(got) == 2
+
+
+def naive_semiquandles(n, up_to_iso=False):
+    """Oracle: every tuple of up columns in itertools.product order over
+    the permutations, dn derived from axiom ii, filtered by the full
+    checker.  Yields (candidate number, table) for each table kept, the
+    candidates numbered from 1."""
+    perms = list(itertools.permutations(range(1, n + 1)))
+    seen = set()
+    for k, columns in enumerate(itertools.product(perms, repeat=n), 1):
+        up = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
+        up_inv = column_inverse(up)
+        dn = tuple(tuple(up_inv[x][up[y][x] - 1] for y in range(n))
+                   for x in range(n))
+        if check_semiquandle(up, dn):
+            continue
+        if up_to_iso:
+            key = CanonicalForm.of(SemiquandleTable(up, dn))
+            if key in seen:
+                continue
+            seen.add(key)
+        yield k, (up, dn)
+
+
+@pytest.mark.parametrize("up_to_iso", [False, True])
+def test_search_yields_the_brute_force_tables_in_order(up_to_iso):
+    for n in (1, 2, 3):
+        want = [t for _, t in naive_semiquandles(n, up_to_iso)]
+        got = [(t.up, t.dn) for t in enumerate_semiquandles(n, up_to_iso)]
+        assert got == want
+
+
+@pytest.mark.parametrize("up_to_iso", [False, True])
+def test_search_spends_the_budget_like_the_brute_force(up_to_iso):
+    # a pruned block counts one node per candidate in it, so every budget
+    # stops at the same candidate with the same tables yielded
+    naive = list(naive_semiquandles(3, up_to_iso))
+    for budget in range(6 ** 3 + 1):
+        want = [t for k, t in naive if k <= budget]
+        got, stopped = [], None
+        try:
+            for t in enumerate_semiquandles(3, up_to_iso, node_budget=budget):
+                got.append((t.up, t.dn))
+        except ResourceBudgetExceeded as e:
+            stopped = (e.nodes, e.found)
+        assert got == want
+        assert stopped == (None if budget == 6 ** 3 else (budget + 1, len(want)))
+
+
+def test_order4_tables_and_classes():
+    tables = list(enumerate_semiquandles(4))
+    assert len(tables) == 168 == len({(t.up, t.dn) for t in tables})
+    assert all(not check_semiquandle(t.up, t.dn) for t in tables)
+    keys = [CanonicalForm.of(t) for t in enumerate_semiquandles(4, up_to_iso=True)]
+    assert len(keys) == 23 == len(set(keys))
+    assert set(keys) == {CanonicalForm.of(t) for t in tables}
+
+
+def test_only_candidates_that_pass_every_partial_check_are_checked_in_full(monkeypatch):
+    # the brute force checks all 216 candidates of order 3, and building
+    # each yielded table would check it once more
+    calls = []
+
+    def counting(up, dn):
+        calls.append(up)
+        return check_semiquandle(up, dn)
+    monkeypatch.setattr(enumeration, "check_semiquandle", counting)
+    monkeypatch.setattr(algebra, "check_semiquandle", counting)
+    assert len(list(enumerate_semiquandles(3))) == 12
+    assert len(calls) <= 24
 
 
 def test_order3_contains_all_constant_action_tables():
