@@ -1,12 +1,13 @@
 """Command-line interface.
 
-Verbs: verify, enumerate, count, poly, auto, moves-test, vassiliev.
-Results go to stdout, diagnostics to stderr.  Exit codes: 0 success /
-valid, 1 invalid input or property failure, 2 usage error, 3 resource
-budget exceeded.  All output is byte-deterministic for fixed inputs,
-flags, and seeds; --jobs is a worker-count hint that never changes the
-output bytes.  The argument parser is built once per process, at the
-first call of `main`, and every later call reuses it.
+Verbs: verify, enumerate, count, poly, auto, moves-test, vassiliev, each
+with only the options its handler reads (enumerate also takes --jobs,
+read by nothing, for the benchmark).  Results go to stdout, diagnostics
+to stderr.  Exit codes: 0 success / valid, 1 invalid input, property
+failure or a closed stdout pipe, 2 usage error, 3 resource budget
+exceeded.  All output is byte-deterministic for fixed inputs, flags, and
+seeds.  The argument parser is built once per process, at the first
+call of `main`, and every later call reuses it.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
-from . import algebra, diagram, moves, present
+from . import algebra, diagram, enumeration, moves, present
 from .algebra import (AxiomError, ResourceBudgetExceeded, StructureError,
                       StructureBundle, builtin_bundle, format_table_text,
                       parse_table_text, automorphisms, BUILTIN_BUNDLES)
@@ -125,8 +127,9 @@ def _cmd_verify(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.n is None:
         raise UsageError("enumerate requires --n")
-    if args.n < 1:
-        raise InvalidInput(f"--n must be at least 1, got {args.n}")
+    if not 1 <= args.n <= enumeration.MAX_ORDER:
+        raise InvalidInput(f"--n must be from 1 to {enumeration.MAX_ORDER}, "
+                           f"got {args.n}")
     found = []
     stream = enumerate_semiquandles(args.n, up_to_iso=args.iso, **_budget(args))
     if args.json:
@@ -220,6 +223,43 @@ def _cmd_vassiliev(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+# every option once; each verb registers only the ones its handler reads
+_OPTIONS = {
+    "--table": dict(help="table file, or builtin bundle name"),
+    "--presentation": dict(help="presentation file"),
+    "--code": dict(help="pass code file"),
+    "--builtin": dict(help="builtin presentation or code name"),
+    "--n": dict(type=int, help="order to enumerate"),
+    "--iso": dict(action="store_true", help="one representative per isomorphism class"),
+    "--budget": dict(type=int, help="search-node budget (exit 3 when exceeded)"),
+    "--trials": dict(type=int, default=500),
+    "--seed": dict(type=int, default=0),
+    "--jobs": dict(type=int, default=1, help="accepted and never read"),
+    "--json": dict(action="store_true"),
+    "--k1": dict(help="first pass code file"),
+    "--k2": dict(help="second pass code file"),
+    "--probes": dict(nargs="*", help="probe table files or builtin bundle names"),
+}
+_INVARIANT = "--table --presentation --code --builtin --budget"
+
+# verb: (handler, its options, help); no handler reads --jobs
+_VERBS = {
+    "verify": (_cmd_verify, "--table --builtin --json", "check table axioms"),
+    "enumerate": (_cmd_enumerate, "--n --iso --budget --jobs --json",
+                  "stream all semiquandles of an order"),
+    "count": (lambda a: _cmd_invariant(a, full=False), _INVARIANT,
+              "counting invariant of a presentation over a bundle"),
+    "poly": (lambda a: _cmd_invariant(a, full=True), _INVARIANT,
+             "enhanced polynomial invariant"),
+    "auto": (_cmd_auto, "--table --json",
+             "automorphisms and conjugacy classes of a bundle"),
+    "moves-test": (_cmd_moves_test, "--trials --seed --json",
+                   "randomized move-invariance suite"),
+    "vassiliev": (_cmd_vassiliev, "--k1 --k2 --probes --budget",
+                  "compare resolution sums of two classical codes"),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -227,55 +267,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Finite semiquandles: verification, enumeration, "
                     "coloring invariants, move testing, resolution sums.")
     sub = top.add_subparsers(dest="verb", required=True)
-
-    def add(verb, help_):
+    for verb, (_, options, help_) in _VERBS.items():
         p = sub.add_parser(verb, help=help_)
-        p.add_argument("--table", help="table file, or builtin bundle name")
-        p.add_argument("--presentation", help="presentation file")
-        p.add_argument("--code", help="pass code file")
-        p.add_argument("--builtin", help="builtin presentation or code name")
-        p.add_argument("--n", type=int, help="order to enumerate")
-        p.add_argument("--iso", action="store_true",
-                       help="one representative per isomorphism class")
-        p.add_argument("--budget", type=int,
-                       help="search-node budget of each enumeration or "
-                            "coloring search (exit 3 when exceeded)")
-        p.add_argument("--trials", type=int, default=500)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker hint; never changes output bytes")
-        p.add_argument("--json", action="store_true")
-        return p
-
-    add("verify", "check table axioms")
-    add("enumerate", "stream all semiquandles of an order")
-    add("count", "counting invariant of a presentation over a bundle")
-    add("poly", "enhanced polynomial invariant")
-    add("auto", "automorphisms and conjugacy classes of a bundle")
-    add("moves-test", "randomized move-invariance suite")
-    pv = add("vassiliev", "compare resolution sums of two classical codes")
-    pv.add_argument("--k1", help="first pass code file")
-    pv.add_argument("--k2", help="second pass code file")
-    pv.add_argument("--probes", nargs="*",
-                    help="probe table files or builtin bundle names")
+        for flag in options.split():
+            p.add_argument(flag, **_OPTIONS[flag])
     return top
-
-
-_VERBS = {
-    "verify": _cmd_verify,
-    "enumerate": _cmd_enumerate,
-    "count": lambda a: _cmd_invariant(a, full=False),
-    "poly": lambda a: _cmd_invariant(a, full=True),
-    "auto": _cmd_auto,
-    "moves-test": _cmd_moves_test,
-    "vassiliev": _cmd_vassiliev,
-}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _VERBS[args.verb](args)
+        try:
+            return _VERBS[args.verb][0](args)
+        finally:
+            sys.stdout.flush()    # so a closed pipe raises here at the latest
     except UsageError as e:
         sys.stderr.write(f"usage error: {e}\n")
         return EXIT_USAGE
@@ -285,6 +290,10 @@ def main(argv=None) -> int:
     except ResourceBudgetExceeded as e:
         sys.stderr.write(f"budget exceeded: {e}\n")
         return EXIT_BUDGET
+    except BrokenPipeError:
+        # stdout's reader is gone: flush at exit to devnull (Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

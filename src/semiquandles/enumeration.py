@@ -19,9 +19,12 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .algebra import (ResourceBudgetExceeded, SemiquandleTable,
-                      SingularExtension, StructureBundle, check_semiquandle,
-                      automorphisms, perm_compose, perm_inverse)
+from .algebra import (AxiomError, ResourceBudgetExceeded, SemiquandleTable,
+                      SingularExtension, StructureBundle, automorphisms,
+                      perm_compose, perm_inverse)
+
+# enumerate_semiquandles builds 3n^3 + 2n^2 axiom checks before its first node
+MAX_ORDER = 16
 
 
 @dataclass(frozen=True)
@@ -139,8 +142,8 @@ def enumerate_semiquandles(n: int, up_to_iso: bool = False,
     one representative per isomorphism class is yielded (the first in
     enumeration order).
     """
-    if n < 1:
-        raise ValueError("order must be positive")
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"order must be from 1 to {MAX_ORDER}, got {n}")
     unset = [_Unset(c) for c in range(n)]
     cols = list(unset)      # cols[c][r] = up[r][c]
     invs = list(unset)      # invs[c][v] = the r with up[r][c] = v
@@ -195,9 +198,10 @@ def enumerate_semiquandles(n: int, up_to_iso: bool = False,
         up_rows = tuple(tuple(col[r] + 1 for col in cols) for r in range(n))
         dn_rows = tuple(tuple(dn(a, b) + 1 for b in range(n))
                         for a in range(n))
-        if check_semiquandle(up_rows, dn_rows):
+        try:
+            table = SemiquandleTable(up_rows, dn_rows)
+        except AxiomError:
             continue
-        table = SemiquandleTable._from_frozen(up_rows, dn_rows)
         if up_to_iso:
             key = CanonicalForm.of(table)
             if key in seen:

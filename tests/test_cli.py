@@ -1,5 +1,6 @@
 """CLI verbs, exit codes, and byte-determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -153,6 +154,18 @@ def test_enumerate_large_order_reaches_its_budget(capsys):
     assert time.perf_counter() - start < 2.0
     assert rc == 3 and len(err.splitlines()) == 1
     assert err.startswith("budget exceeded: stopped after 11 nodes")
+
+
+def test_enumerate_order_above_the_cap_is_invalid_input(capsys):
+    # the axiom checks are set up before the budget is first consulted
+    start = time.perf_counter()
+    for n in ("17", "100", "150"):
+        rc, out, err = run(capsys, "enumerate", "--n", n, "--budget", "1")
+        assert rc == 1 and not out
+        assert err == f"invalid input: --n must be from 1 to 16, got {n}\n"
+    assert time.perf_counter() - start < 1.0
+    rc, _, err = run(capsys, "enumerate", "--n", "16", "--budget", "1")
+    assert rc == 3 and err.startswith("budget exceeded:")
 
 
 def test_enumerate_negative_budget_is_invalid_input(capsys):
@@ -365,11 +378,44 @@ def test_reused_parser_answers_like_a_fresh_one(tmp_path, capsys):
 def test_jobs_never_changes_output_bytes(capsys):
     runs = []
     for jobs in ("1", "4", "7"):
-        rc, out, _ = run(capsys, "moves-test", "--trials", "18",
-                         "--seed", "11", "--jobs", jobs, "--json")
+        rc, out, _ = run(capsys, "enumerate", "--n", "3", "--iso", "--json",
+                         "--jobs", jobs)
         assert rc == 0
         runs.append(out)
     assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == run(capsys, "enumerate", "--n", "3", "--iso", "--json")[1]
+
+
+def test_each_verb_registers_only_the_options_it_reads():
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {verb: {flag for a in p._actions for flag in a.option_strings
+                      if flag not in ("-h", "--help")}
+               for verb, p in sub.choices.items()}
+    invariant = {"--table", "--presentation", "--code", "--builtin", "--budget"}
+    assert options == {
+        "verify": {"--table", "--builtin", "--json"},
+        "enumerate": {"--n", "--iso", "--budget", "--jobs", "--json"},
+        "count": invariant,
+        "poly": invariant,
+        "auto": {"--table", "--json"},
+        "moves-test": {"--trials", "--seed", "--json"},
+        "vassiliev": {"--k1", "--k2", "--probes", "--budget"},
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "3"],
+    ["count", "--table", "t4", "--builtin", "unknot", "--iso"],
+    ["moves-test", "--budget", "5"],
+    ["auto", "--table", "t4", "--jobs", "4"],
+])
+def test_an_option_the_verb_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    captured = capsys.readouterr()
+    assert e.value.code == 2 and not captured.out
+    assert "unrecognized arguments" in captured.err
 
 
 def test_fixed_seed_is_byte_deterministic(capsys):
@@ -389,3 +435,24 @@ def test_python_m_semiquandles_runs_the_cli():
         env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0
     assert proc.stdout == "valid semiquandle of order 4\n"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_pipe_exits_1_without_a_traceback(unbuffered):
+    # order 4 streams 168 tables over a few hundred milliseconds, so the
+    # write (unbuffered) or the final flush (buffered) that meets the
+    # closed pipe comes after the first line has been read
+    src = str(Path(semiquandles.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "semiquandles", "enumerate", "--n", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**env, "PYTHONPATH": src})
+    assert proc.stdout.readline() == b"semiquandle 4\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""    # no traceback

@@ -93,14 +93,13 @@ def test_order4_tables_and_classes():
 
 
 def test_only_candidates_that_pass_every_partial_check_are_checked_in_full(monkeypatch):
-    # the brute force checks all 216 candidates of order 3, and building
-    # each yielded table would check it once more
+    # the brute force checks all 216 candidates of order 3; the search
+    # leaves the full check to the SemiquandleTable constructor
     calls = []
 
     def counting(up, dn):
         calls.append(up)
         return check_semiquandle(up, dn)
-    monkeypatch.setattr(enumeration, "check_semiquandle", counting)
     monkeypatch.setattr(algebra, "check_semiquandle", counting)
     assert len(list(enumerate_semiquandles(3))) == 12
     assert len(calls) <= 24
@@ -132,6 +131,14 @@ def test_canonical_form_is_relabeling_invariant():
     re_dn = tuple(tuple(phi[t.dn[inv[x] - 1][inv[y] - 1] - 1]
                         for y in range(1, 5)) for x in range(1, 5))
     assert CanonicalForm.of(SemiquandleTable(re_up, re_dn)) == CanonicalForm.of(t)
+
+
+def test_order_outside_its_range_is_a_value_error():
+    for n in (0, enumeration.MAX_ORDER + 1, 100):
+        with pytest.raises(ValueError, match="order must be from 1 to 16"):
+            next(enumerate_semiquandles(n, node_budget=0))
+    with pytest.raises(ResourceBudgetExceeded):
+        next(enumerate_semiquandles(enumeration.MAX_ORDER, node_budget=0))
 
 
 def test_budget_exceeded_is_explicit():
