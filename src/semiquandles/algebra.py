@@ -8,6 +8,7 @@ convention [U|L], so printed matrices can be transcribed verbatim.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -84,6 +85,52 @@ def _column_is_perm(t, j: int, n: int) -> bool:
     return sorted(t[i][j] for i in range(n)) == list(range(1, n + 1))
 
 
+# The axiom catalog: every axiom past axiom 0, written once as
+# (name, arity, wait, holds), holds(up, dn, *witness) over 0-based tables
+# (holds(up, dn, hup, hdn, *witness) for the hat axioms).  Both checkers
+# and both enumeration searches evaluate these predicates.  wait serves
+# the column search of enumeration: the witness positions whose largest
+# value is the latest column of up an instance reads whatever the entries
+# are, or None where that search does not check the axiom: ii.a, which
+# holds by its derivation of dn, and the hat axioms.
+_FLAT_AXIOMS = (
+    ("i", 2, (0,), lambda up, dn, x, y: (dn[x][y] == y) == (up[y][x] == x)),
+    ("ii.a", 2, None, lambda up, dn, x, y: up[dn[x][y]][up[y][x]] == x),
+    ("ii.b", 2, (1,), lambda up, dn, x, y: dn[up[x][y]][dn[y][x]] == x),
+    ("iii.a", 3, (1, 2), lambda up, dn, x, y, z:
+        up[up[x][y]][z] == up[up[x][dn[z][y]]][up[y][z]]),
+    ("iii.b", 3, (1, 2), lambda up, dn, x, y, z:
+        up[dn[y][x]][dn[z][up[x][y]]] == dn[up[y][z]][up[x][dn[z][y]]]),
+    ("iii.c", 3, (1, 2), lambda up, dn, x, y, z:
+        dn[dn[z][up[x][y]]][dn[y][x]] == dn[dn[z][y]][x]),
+)
+_HAT_AXIOMS = (
+    ("hi.a", 2, None, lambda up, dn, hup, hdn, x, y:
+        hup[dn[y][x]][up[x][y]] == up[hdn[y][x]][hup[x][y]]),
+    ("hi.b", 2, None, lambda up, dn, hup, hdn, x, y:
+        hdn[up[x][y]][dn[y][x]] == dn[hup[x][y]][hdn[y][x]]),
+    ("hii.a", 3, None, lambda up, dn, hup, hdn, x, y, z:
+        hup[up[x][y]][z] == up[hup[x][dn[z][y]]][up[y][z]]),
+    ("hii.b", 3, None, lambda up, dn, hup, hdn, x, y, z:
+        up[dn[y][x]][hdn[z][up[x][y]]] == dn[up[y][z]][hup[x][dn[z][y]]]),
+    ("hii.c", 3, None, lambda up, dn, hup, hdn, x, y, z:
+        dn[hdn[z][up[x][y]]][dn[y][x]] == hdn[dn[z][y]][x]),
+)
+
+
+def _violations(axioms, n: int, *tables) -> list:
+    """The failed instances of the catalog entries over 1-based tables."""
+    tables = [[[v - 1 for v in row] for row in t] for t in tables]
+    witnesses = functools.partial(itertools.product, range(n))
+    report = []
+    for name, arity, _, holds in axioms:
+        bound = functools.partial(holds, *tables)
+        if not all(itertools.starmap(bound, witnesses(repeat=arity))):
+            report += [Violation(name, tuple(v + 1 for v in w))
+                       for w in witnesses(repeat=arity) if not bound(*w)]
+    return report
+
+
 def check_semiquandle(up: Sequence[Sequence[int]], dn: Sequence[Sequence[int]]) -> list:
     """Report every axiom violation of the pair (up, dn); empty list = valid.
 
@@ -94,33 +141,12 @@ def check_semiquandle(up: Sequence[Sequence[int]], dn: Sequence[Sequence[int]]) 
     report = _structure_report("up", up, n) + _structure_report("dn", dn, n)
     if report:
         return sorted(report)
-    r = range(n)
-    for j in r:
+    for j in range(n):
         if not _column_is_perm(up, j, n):
             report.append(Violation("0", ("up", j + 1)))
         if not _column_is_perm(dn, j, n):
             report.append(Violation("0", ("dn", j + 1)))
-    for x in r:
-        for y in r:
-            if (dn[x][y] == y + 1) != (up[y][x] == x + 1):
-                report.append(Violation("i", (x + 1, y + 1)))
-            if up[dn[x][y] - 1][up[y][x] - 1] != x + 1:
-                report.append(Violation("ii.a", (x + 1, y + 1)))
-            if dn[up[x][y] - 1][dn[y][x] - 1] != x + 1:
-                report.append(Violation("ii.b", (x + 1, y + 1)))
-    for x in r:
-        for y in r:
-            for z in r:
-                xy = up[x][y] - 1
-                zy = dn[z][y] - 1
-                yz = up[y][z] - 1
-                if up[xy][z] != up[up[x][zy] - 1][yz]:
-                    report.append(Violation("iii.a", (x + 1, y + 1, z + 1)))
-                if up[dn[y][x] - 1][dn[z][xy] - 1] != dn[yz][up[x][zy] - 1]:
-                    report.append(Violation("iii.b", (x + 1, y + 1, z + 1)))
-                if dn[dn[z][xy] - 1][dn[y][x] - 1] != dn[zy][x]:
-                    report.append(Violation("iii.c", (x + 1, y + 1, z + 1)))
-    return sorted(report)
+    return sorted(report + _violations(_FLAT_AXIOMS, n, up, dn))
 
 
 def check_singular(up, dn, hup, hdn) -> list:
@@ -133,28 +159,7 @@ def check_singular(up, dn, hup, hdn) -> list:
     report = _structure_report("hup", hup, n) + _structure_report("hdn", hdn, n)
     if report:
         return sorted(report)
-    r = range(n)
-    for x in r:
-        for y in r:
-            xy = up[x][y] - 1
-            yx = dn[y][x] - 1
-            if hup[yx][xy] != up[hdn[y][x] - 1][hup[x][y] - 1]:
-                report.append(Violation("hi.a", (x + 1, y + 1)))
-            if hdn[xy][yx] != dn[hup[x][y] - 1][hdn[y][x] - 1]:
-                report.append(Violation("hi.b", (x + 1, y + 1)))
-    for x in r:
-        for y in r:
-            for z in r:
-                xy = up[x][y] - 1
-                zy = dn[z][y] - 1
-                yz = up[y][z] - 1
-                if hup[xy][z] != up[hup[x][zy] - 1][yz]:
-                    report.append(Violation("hii.a", (x + 1, y + 1, z + 1)))
-                if up[dn[y][x] - 1][hdn[z][xy] - 1] != dn[yz][hup[x][zy] - 1]:
-                    report.append(Violation("hii.b", (x + 1, y + 1, z + 1)))
-                if dn[hdn[z][xy] - 1][dn[y][x] - 1] != hdn[zy][x]:
-                    report.append(Violation("hii.c", (x + 1, y + 1, z + 1)))
-    return sorted(report)
+    return sorted(_violations(_HAT_AXIOMS, n, up, dn, hup, hdn))
 
 
 def check_virtual(up, dn, v, hup=None, hdn=None) -> list:
@@ -554,8 +559,9 @@ _T4_HDN = ((1, 2, 2, 1), (4, 3, 3, 4), (4, 3, 3, 4), (1, 2, 2, 1))
 _TS3_UP = ((1, 3, 1), (2, 2, 2), (3, 1, 3))
 
 
+@functools.cache
 def builtin_bundle(name: str) -> StructureBundle:
-    """Bundles used as standard probes.
+    """Bundles used as standard probes, each built once per process.
 
     t4        order-4 non-constant-action semiquandle
     t4_sing   t4 with its compatible 4x4 singular structure

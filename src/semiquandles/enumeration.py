@@ -1,5 +1,7 @@
 """Exhaustive enumeration of semiquandles and their extensions.
 
+Both searches check the axiom catalog of `algebra`, the one place each
+axiom is written, by evaluating its predicates on partial tables.
 Semiquandles of order n are found by a depth-first search that sets the
 columns of the up table to permutations (axiom 0 demands exactly that),
 reads the dn table through axiom ii, checks each axiom instance as soon
@@ -15,11 +17,13 @@ instead of truncating silently.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
-from .algebra import (AxiomError, ResourceBudgetExceeded, SemiquandleTable,
+from .algebra import (_FLAT_AXIOMS, _HAT_AXIOMS, AxiomError,
+                      ResourceBudgetExceeded, SemiquandleTable,
                       SingularExtension, StructureBundle, automorphisms,
                       perm_compose, perm_inverse)
 
@@ -56,65 +60,58 @@ class CanonicalForm:
         return cls(*best)
 
 
+def _instances(axioms, n: int):
+    """Yield (wait, holds, witness) for every instance of the catalog
+    entries at order n, witnesses 0-based: the pairs, then the triples,
+    each in product order with the entries in catalog order."""
+    for arity in (2, 3):
+        entries = [e for e in axioms if e[1] == arity]
+        for witness in itertools.product(range(n), repeat=arity):
+            for _, _, wait, holds in entries:
+                yield wait, holds, witness
+
+
 class _Blocked(Exception):
-    """An axiom instance read a column of up that is not set yet."""
+    """An axiom instance used an entry of a column of up that is not set
+    yet."""
 
     def __init__(self, column: int):
         self.column = column
 
 
 class _Unset:
-    """Column c of up, or its inverse, before the search sets it: reading
-    an entry raises _Blocked(c)."""
+    """An entry of up in a column c the search has not set, or column c
+    of up's inverse: reading an entry of it, using it as an index or
+    comparing it raises _Blocked(c)."""
 
     __slots__ = ("column",)
 
     def __init__(self, column: int):
         self.column = column
 
-    def __getitem__(self, row):
+    def __index__(self, *_):
         raise _Blocked(self.column)
 
+    __getitem__ = __eq__ = __index__
 
-def _axiom_instances(n: int, up, dn) -> list:
-    """Every instance of axioms i, ii.b and iii.a-c that check_semiquandle
-    tests, as (column, check) with check() -> bool over the 0-based
-    readers up(r, c) and dn(a, b).  column is the latest column of up
-    that the instance reads whatever the entries are; the columns of its
-    other reads are entries themselves.  Axiom 0 for up holds by
-    construction and axiom ii.a by the derivation of dn, so neither is
-    listed."""
-    r = range(n)
-    out = []
-    for x in r:
-        for y in r:
-            # i: dn[x][y] == y exactly when up[y][x] == x
-            out.append((x, lambda x=x, y=y:
-                        (dn(x, y) == y) == (up(y, x) == x)))
-            # ii.b: dn[up[x][y]][dn[y][x]] == x
-            out.append((y, lambda x=x, y=y: dn(up(x, y), dn(y, x)) == x))
-    for x in r:
-        for y in r:
-            for z in r:
-                last = max(y, z)
-                # iii.a: up[up[x][y]][z] == up[up[x][dn[z][y]]][up[y][z]]
-                out.append((last, lambda x=x, y=y, z=z:
-                            up(up(x, y), z) == up(up(x, dn(z, y)), up(y, z))))
-                # iii.b: up[dn[y][x]][dn[z][up[x][y]]]
-                #        == dn[up[y][z]][up[x][dn[z][y]]]
-                out.append((last, lambda x=x, y=y, z=z:
-                            up(dn(y, x), dn(z, up(x, y)))
-                            == dn(up(y, z), up(x, dn(z, y)))))
-                # iii.c: dn[dn[z][up[x][y]]][dn[y][x]] == dn[dn[z][y]][x]
-                out.append((last, lambda x=x, y=y, z=z:
-                            dn(dn(z, up(x, y)), dn(y, x)) == dn(dn(z, y), x)))
-    return out
+
+class _DnRow:
+    """Row a of dn, read through axiom ii: dn[a][b] is the row of column
+    up[b][a] that holds a."""
+
+    __slots__ = ("up", "invs", "a")
+
+    def __init__(self, up: list, invs: list, a: int):
+        self.up, self.invs, self.a = up, invs, a
+
+    def __getitem__(self, b):
+        return self.invs[self.up[b][self.a]][self.a]
 
 
 def _checks_hold(waiting: list, column: int) -> bool:
     """Run the checks waiting on the column just set, in order, and
-    return False at the first that fails.  A check that reads a column
-    still unset waits on that column instead."""
+    return False at the first that fails.  A check that uses an entry of
+    a column still unset waits on that column instead."""
     for check in waiting[column]:
         try:
             if not check():
@@ -145,23 +142,20 @@ def enumerate_semiquandles(n: int, up_to_iso: bool = False,
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be from 1 to {MAX_ORDER}, got {n}")
     unset = [_Unset(c) for c in range(n)]
-    cols = list(unset)      # cols[c][r] = up[r][c]
+    up = [list(unset) for _ in range(n)]     # up[r][c], unset[c] until set
     invs = list(unset)      # invs[c][v] = the r with up[r][c] = v
+    dn = [_DnRow(up, invs, a) for a in range(n)]
 
-    def up(r, c):
-        return cols[c][r]
-
-    def dn(a, b):
-        # axiom ii: dn[a][b] is the row of column up[b][a] that holds a
-        return invs[cols[a][b]][a]
-
-    # waiting[c]: the checks to run once column c is set.  A choice for
-    # column c appends only to the lists of later columns, and marks[c]
-    # holds their lengths from before it, so the next choice truncates
-    # them back.
+    # waiting[c]: the checks to run once column c is set, each an axiom
+    # instance of the catalog first filed under its wait column.  A
+    # choice for column c appends only to the lists of later columns,
+    # and marks[c] holds their lengths from before it, so the next choice
+    # truncates them back.
     waiting = [[] for _ in range(n)]
-    for column, check in _axiom_instances(n, up, dn):
-        waiting[column].append(check)
+    for wait, axiom, w in _instances(_FLAT_AXIOMS, n):
+        if wait is not None:
+            waiting[max(w[k] for k in wait)].append(
+                functools.partial(axiom, up, dn, *w))
     below = [math.factorial(n) ** (n - 1 - c) for c in range(n)]
     choices = [None] * n
     marks = [None] * n
@@ -173,13 +167,16 @@ def enumerate_semiquandles(n: int, up_to_iso: bool = False,
     while depth >= 0:
         column = next(choices[depth], None)
         if column is None:
-            cols[depth] = invs[depth] = unset[depth]
+            for row in up:
+                row[depth] = unset[depth]
+            invs[depth] = unset[depth]
             depth -= 1
             continue
         inverse = [0] * n
         for row, v in enumerate(column):
             inverse[v] = row
-        cols[depth], invs[depth] = column, inverse
+            up[row][depth] = v
+        invs[depth] = inverse
         for c in range(depth + 1, n):
             del waiting[c][marks[depth][c]:]
         holds = _checks_hold(waiting, depth)
@@ -195,8 +192,8 @@ def enumerate_semiquandles(n: int, up_to_iso: bool = False,
             raise ResourceBudgetExceeded(max(node_budget, 0) + 1, found)
         if not holds:
             continue
-        up_rows = tuple(tuple(col[r] + 1 for col in cols) for r in range(n))
-        dn_rows = tuple(tuple(dn(a, b) + 1 for b in range(n))
+        up_rows = tuple(tuple(v + 1 for v in row) for row in up)
+        dn_rows = tuple(tuple(dn[a][b] + 1 for b in range(n))
                         for a in range(n))
         try:
             table = SemiquandleTable(up_rows, dn_rows)
@@ -211,64 +208,49 @@ def enumerate_semiquandles(n: int, up_to_iso: bool = False,
         yield table
 
 
-def _hat_search_plan(up: tuple, dn: tuple) -> tuple:
-    """The hat axioms over the 0-based tables up and dn, compiled per hup cell.
+class _LastCell:
+    """A row of hup or hdn at plan time: reading an entry notes in
+    seen[0] the latest hup cell read so far and returns 0."""
 
-    Cell x*n + y holds hup[x][y], and the flat hdn list is laid out the
-    same way.  For each cell this returns the hdn entries axiom hi derives
-    once the cell is set, as (entry, s, t) with
-    hdn[entry] = up_inv[hup[t]][hup[s]], and every instance of hi.a, hi.b,
-    hii.a, hii.b and hii.c that check_singular tests whose last hup cell
-    read is this one, as a check(hup, hdn) -> bool.  An hdn read counts as
-    reads of the two cells it is derived from.
+    __slots__ = ("cells", "seen")
+
+    def __init__(self, cells, seen: list):
+        self.cells, self.seen = cells, seen
+
+    def __getitem__(self, j):
+        if self.cells[j] > self.seen[0]:
+            self.seen[0] = self.cells[j]
+        return 0
+
+
+def _hat_search_plan(up: tuple, dn: tuple, hup: list, hdn: list) -> tuple:
+    """The hat axioms over the 0-based tables up and dn, filed per hup cell.
+
+    Cell x*n + y holds hup[x][y].  For each cell this returns the entries
+    (a, b) of hdn that axiom hi derives once the cell is set, and every
+    instance of the hat axioms of the catalog whose last hup cell read is
+    this one, as a check() -> bool over the 2-D lists hup and hdn.  An hdn
+    read counts as reads of the two cells it is derived from.  A hat entry
+    is only ever read at indices that are up and dn values, so one
+    evaluation per instance, over tables that record the cells read,
+    finds its last cell.
     """
     n = len(up)
     r = range(n)
-
-    def cell(x, y):
-        return x * n + y
-
-    def hdn_reads(a, b):
-        # axiom hi: hdn[a][b] = up_inv[hup[dn[a][b]][up[b][a]]][hup[b][a]]
-        return cell(b, a), cell(dn[a][b], up[b][a])
-
+    # axiom hi: hdn[a][b] = up_inv[hup[dn[a][b]][up[b][a]]][hup[b][a]]
+    hdn_last = [[max(b * n + a, dn[a][b] * n + up[b][a]) for b in r] for a in r]
     derive = [[] for _ in range(n * n)]
     for a in r:
         for b in r:
-            s, t = hdn_reads(a, b)
-            derive[max(s, t)].append((cell(a, b), s, t))
+            derive[hdn_last[a][b]].append((a, b))
+    seen = [-1]
+    hup_reads = [_LastCell(range(x * n, x * n + n), seen) for x in r]
+    hdn_reads = [_LastCell(row, seen) for row in hdn_last]
     checks = [[] for _ in range(n * n)]
-
-    def add(reads, check):
-        checks[max(reads)].append(check)
-
-    for x in r:
-        for y in r:
-            xy, yx = up[x][y], dn[y][x]
-            # hi.a: hup[yx][xy] == up[hdn[y][x]][hup[x][y]]
-            add((cell(yx, xy), *hdn_reads(y, x), cell(x, y)),
-                lambda h, g, p=cell(yx, xy), q=cell(y, x), s=cell(x, y):
-                h[p] == up[g[q]][h[s]])
-            # hi.b: hdn[xy][yx] == dn[hup[x][y]][hdn[y][x]]
-            add((*hdn_reads(xy, yx), cell(x, y), *hdn_reads(y, x)),
-                lambda h, g, p=cell(xy, yx), q=cell(x, y), s=cell(y, x):
-                g[p] == dn[h[q]][g[s]])
-    for x in r:
-        for y in r:
-            for z in r:
-                xy, yx, zy, yz = up[x][y], dn[y][x], dn[z][y], up[y][z]
-                # hii.a: hup[xy][z] == up[hup[x][zy]][yz]
-                add((cell(xy, z), cell(x, zy)),
-                    lambda h, g, p=cell(xy, z), q=cell(x, zy), k=yz:
-                    h[p] == up[h[q]][k])
-                # hii.b: up[yx][hdn[z][xy]] == dn[yz][hup[x][zy]]
-                add((*hdn_reads(z, xy), cell(x, zy)),
-                    lambda h, g, p=cell(z, xy), q=cell(x, zy), a=yx, b=yz:
-                    up[a][g[p]] == dn[b][h[q]])
-                # hii.c: dn[hdn[z][xy]][yx] == hdn[zy][x]
-                add((*hdn_reads(z, xy), *hdn_reads(zy, x)),
-                    lambda h, g, p=cell(z, xy), k=yx, q=cell(zy, x):
-                    dn[g[p]][k] == g[q])
+    for _, axiom, w in _instances(_HAT_AXIOMS, n):
+        seen[0] = -1
+        axiom(up, dn, hup_reads, hdn_reads, *w)
+        checks[seen[0]].append(functools.partial(axiom, up, dn, hup, hdn, *w))
     return derive, checks
 
 
@@ -285,39 +267,38 @@ def enumerate_singular_extensions(table: SemiquandleTable,
     One node is one value tried in one cell, counted against the budget.
     """
     ops = StructureBundle(table).ops
-    up_inv = ops["up_inv"]
-    derive, checks = _hat_search_plan(ops["up"], ops["dn"])
+    up, dn, up_inv = ops["up"], ops["dn"], ops["up_inv"]
     n = table.n
-    cells = n * n
-    row_starts = range(0, cells, n)
-    hup = [-1] * cells
-    hdn = [0] * cells
+    hup = [[-1] * n for _ in range(n)]
+    hdn = [[0] * n for _ in range(n)]
+    derive, checks = _hat_search_plan(up, dn, hup, hdn)
+    cells = [(hup[x], y) for x in range(n) for y in range(n)]
     nodes = found = 0
     c = 0
     while c >= 0:
-        value = hup[c] + 1
+        row, y = cells[c]
+        value = row[y] + 1
         if value == n:
-            hup[c] = -1
+            row[y] = -1
             c -= 1
             continue
-        hup[c] = value
+        row[y] = value
         nodes += 1
         if nodes > node_budget:
             raise ResourceBudgetExceeded(nodes, found)
-        for entry, s, t in derive[c]:
-            hdn[entry] = up_inv[hup[t]][hup[s]]
+        for a, b in derive[c]:
+            hdn[a][b] = up_inv[hup[dn[a][b]][up[b][a]]][hup[b][a]]
         for check in checks[c]:
-            if not check(hup, hdn):
+            if not check():
                 break
         else:
-            if c + 1 < cells:
+            if c + 1 < len(cells):
                 c += 1
                 continue
             found += 1
-            one_based = ([v + 1 for v in hup], [v + 1 for v in hdn])
             yield SingularExtension._from_frozen(
-                *(tuple([tuple(flat[i:i + n]) for i in row_starts])
-                  for flat in one_based))
+                tuple([tuple([v + 1 for v in row]) for row in hup]),
+                tuple([tuple([v + 1 for v in row]) for row in hdn]))
 
 
 def enumerate_virtual_structures(bundle: StructureBundle,

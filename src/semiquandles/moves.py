@@ -386,7 +386,7 @@ def apply_reverse_slide(code: PassCode, m: MoveSpec) -> PassCode:
 
 
 # ---------------------------------------------------------------------------
-# canonical labels, random codes, random moves
+# canonical labels and random codes
 
 def canonical(code: PassCode) -> PassCode:
     """Normal form that also relabels crossing ids, for comparisons that
@@ -463,15 +463,6 @@ def random_code(budget: dict, seed: int = 0) -> PassCode:
     for p in passes:
         comps[rng.randrange(ncomp)].append(p)
     return PassCode(tuple(tuple(c) for c in comps))
-
-
-def random_applicable_move(code: PassCode, seed: int = 0):
-    """Uniform choice among applicable (move, site, variant) triples,
-    deterministic in the seed; None when no move applies."""
-    moves = applicable_moves(code)
-    if not moves:
-        return None
-    return random.Random(seed).choice(moves)
 
 
 # ---------------------------------------------------------------------------

@@ -105,13 +105,6 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(tuple(generators), tuple(relations))
 
 
-def format_presentation(p: Presentation) -> str:
-    lines = ["gens: " + " ".join(p.generators)]
-    for r in p.relations:
-        lines.append(f"{r.kind}({','.join(r.args)})={r.result}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # invariants
 

@@ -1,10 +1,12 @@
 """Axiom checkers, structure bundles, and the table text format."""
 
 import itertools
+import random
 
 import pytest
 
 from semiquandles.algebra import (
+    _FLAT_AXIOMS, _HAT_AXIOMS,
     AxiomError, StructureError, OperationUnavailable,
     SemiquandleTable, SingularExtension, VirtualExtension, StructureBundle,
     check_semiquandle, check_singular, check_virtual,
@@ -44,6 +46,27 @@ def test_every_corruption_of_t4_first_row_fails_with_witness():
             report = check_semiquandle(tuple(map(tuple, bad)), T4.table.dn)
             assert report, f"corruption at (1,{j + 1}) -> {wrong} not caught"
             assert all(v.witness for v in report)
+
+
+def test_every_catalog_axiom_is_reported_by_its_checker():
+    # random tables with permutation columns break each flat axiom, and
+    # random hat tables over t4 each hat axiom, so no entry of the
+    # catalog is dead: dropping one loses its name from every report
+    flat = [name for name, *_ in _FLAT_AXIOMS]
+    hat = [name for name, *_ in _HAT_AXIOMS]
+    assert flat == ["i", "ii.a", "ii.b", "iii.a", "iii.b", "iii.c"]
+    assert hat == ["hi.a", "hi.b", "hii.a", "hii.b", "hii.c"]
+    rng = random.Random(7)
+    seen_flat, seen_hat = set(), set()
+    for _ in range(40):
+        up, dn = (tuple(zip(*(rng.sample(range(1, 4), 3) for _ in range(3))))
+                  for _ in range(2))
+        seen_flat |= {v.axiom for v in check_semiquandle(up, dn)}
+        hup, hdn = (tuple(tuple(rng.randint(1, 4) for _ in range(4)) for _ in range(4))
+                    for _ in range(2))
+        seen_hat |= {v.axiom for v in check_singular(T4.table.up, T4.table.dn, hup, hdn)}
+    assert seen_flat == set(flat)
+    assert seen_hat == set(hat)
 
 
 def test_constant_action_tables_satisfy_axioms():

@@ -212,12 +212,15 @@ def test_hat_search_plan_compiles_every_axiom_instance():
     for table in tables:
         n = table.n
         ops = StructureBundle(table).ops
-        _, checks = _hat_search_plan(ops["up"], ops["dn"])
+        hup, hdn = [], []
+        _, checks = _hat_search_plan(ops["up"], ops["dn"], hup, hdn)
         for _ in range(40):
-            hup, hdn = ([rng.randrange(n) for _ in range(n * n)] for _ in range(2))
-            failing = sum(not check(hup, hdn) for cell in checks for check in cell)
-            hup1, hdn1 = (tuple(tuple(v + 1 for v in flat[i:i + n])
-                                for i in range(0, n * n, n)) for flat in (hup, hdn))
+            for t in (hup, hdn):
+                flat = [rng.randrange(n) for _ in range(n * n)]
+                t[:] = [flat[i:i + n] for i in range(0, n * n, n)]
+            failing = sum(not check() for cell in checks for check in cell)
+            hup1, hdn1 = (tuple(tuple(v + 1 for v in row) for row in t)
+                          for t in (hup, hdn))
             assert failing == len(check_singular(table.up, table.dn, hup1, hdn1))
 
 

