@@ -88,11 +88,13 @@ def _column_is_perm(t, j: int, n: int) -> bool:
 # The axiom catalog: every axiom past axiom 0, written once as
 # (name, arity, wait, holds), holds(up, dn, *witness) over 0-based tables
 # (holds(up, dn, hup, hdn, *witness) for the hat axioms).  Both checkers
-# and both enumeration searches evaluate these predicates.  wait serves
-# the column search of enumeration: the witness positions whose largest
+# and both enumeration searches evaluate these predicates.  wait is None
+# where a search does not check the axiom, because it derives a table from
+# it so that every instance holds: ii.a (dn) and hi.a (hdn).  Otherwise,
+# for the column search of enumeration, the witness positions whose largest
 # value is the latest column of up an instance reads whatever the entries
-# are, or None where that search does not check the axiom: ii.a, which
-# holds by its derivation of dn, and the hat axioms.
+# are; the hat search compiles each instance and finds its last cell
+# itself, so its entries have wait ().
 _FLAT_AXIOMS = (
     ("i", 2, (0,), lambda up, dn, x, y: (dn[x][y] == y) == (up[y][x] == x)),
     ("ii.a", 2, None, lambda up, dn, x, y: up[dn[x][y]][up[y][x]] == x),
@@ -107,13 +109,13 @@ _FLAT_AXIOMS = (
 _HAT_AXIOMS = (
     ("hi.a", 2, None, lambda up, dn, hup, hdn, x, y:
         hup[dn[y][x]][up[x][y]] == up[hdn[y][x]][hup[x][y]]),
-    ("hi.b", 2, None, lambda up, dn, hup, hdn, x, y:
+    ("hi.b", 2, (), lambda up, dn, hup, hdn, x, y:
         hdn[up[x][y]][dn[y][x]] == dn[hup[x][y]][hdn[y][x]]),
-    ("hii.a", 3, None, lambda up, dn, hup, hdn, x, y, z:
+    ("hii.a", 3, (), lambda up, dn, hup, hdn, x, y, z:
         hup[up[x][y]][z] == up[hup[x][dn[z][y]]][up[y][z]]),
-    ("hii.b", 3, None, lambda up, dn, hup, hdn, x, y, z:
+    ("hii.b", 3, (), lambda up, dn, hup, hdn, x, y, z:
         up[dn[y][x]][hdn[z][up[x][y]]] == dn[up[y][z]][hup[x][dn[z][y]]]),
-    ("hii.c", 3, None, lambda up, dn, hup, hdn, x, y, z:
+    ("hii.c", 3, (), lambda up, dn, hup, hdn, x, y, z:
         dn[hdn[z][up[x][y]]][dn[y][x]] == hdn[dn[z][y]][x]),
 )
 

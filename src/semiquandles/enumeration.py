@@ -1,18 +1,21 @@
 """Exhaustive enumeration of semiquandles and their extensions.
 
 Both searches check the axiom catalog of `algebra`, the one place each
-axiom is written, by evaluating its predicates on partial tables.
-Semiquandles of order n are found by a depth-first search that sets the
-columns of the up table to permutations (axiom 0 demands exactly that),
-reads the dn table through axiom ii, checks each axiom instance as soon
-as every entry it reads is known, and checks the survivors in full.
+axiom is written, by evaluating its predicates.  Semiquandles of order n
+are found by a depth-first search that sets the columns of the up table
+to permutations (axiom 0 demands exactly that), reads the dn table
+through axiom ii, checks each axiom instance on the partial tables as
+soon as every entry it reads is known, and checks the survivors in full.
 Singular extensions are found by backtracking over the cells of hup in
-row-major order, values ascending, with hdn derived from axiom hi and
-each hat-axiom instance checked as soon as the last hup cell it reads is
-set.  Both searches carry an explicit node budget (one candidate column
-tuple for semiquandles, a pruned block counting one per candidate in it;
-one value tried in one hup cell for extensions); exceeding it raises
-instead of truncating silently.
+row-major order, values ascending, with hdn derived from axiom hi.a.
+Each instance of the other hat axioms is compiled once, by evaluating
+its predicate over symbolic tables, into a comparison of two entries of
+constant matrices read at entries of one flat state, and is checked in
+one loop as soon as the last hup cell it reads is set.  Both searches
+carry an explicit node budget (one candidate column tuple for
+semiquandles, a pruned block counting one per candidate in it; one value
+tried in one hup cell for extensions); exceeding it raises instead of
+truncating silently.
 """
 
 from __future__ import annotations
@@ -208,50 +211,108 @@ def enumerate_semiquandles(n: int, up_to_iso: bool = False,
         yield table
 
 
-class _LastCell:
-    """A row of hup or hdn at plan time: reading an entry notes in
-    seen[0] the latest hup cell read so far and returns 0."""
+class _Sym:
+    """A value at plan time of the hat search: M[h[i]][h[j]], held as
+    side = (M, i, j), with h the flat state of the search and M a padded
+    1-based matrix of constants.  Comparing two gives the check
+    (L, a1, a2, R, b1, b2).  A hat entry h[i] is (first, i, i), and it
+    indexes the readers of up and dn at its place, at = n + i; any other
+    value used as an index raises TypeError."""
 
-    __slots__ = ("cells", "seen")
+    __slots__ = ("side", "at")
 
-    def __init__(self, cells, seen: list):
-        self.cells, self.seen = cells, seen
+    def __init__(self, m, i, j, at=None):
+        self.side, self.at = (m, i, j), at
 
-    def __getitem__(self, j):
-        if self.cells[j] > self.seen[0]:
-            self.seen[0] = self.cells[j]
-        return 0
+    def __index__(self):
+        return self.at
+
+    def __eq__(self, other):
+        return self.side + other.side
 
 
-def _hat_search_plan(up: tuple, dn: tuple, hup: list, hdn: list) -> tuple:
-    """The hat axioms over the 0-based tables up and dn, filed per hup cell.
+def _padded(t) -> tuple:
+    """The 0-based table t as a 1-based matrix with a leading row and
+    column of zeros, so that it is indexed by values of h."""
+    n = len(t)
+    return ((0,) * (n + 1),) + tuple((0,) + tuple(v + 1 for v in row) for row in t)
 
-    Cell x*n + y holds hup[x][y].  For each cell this returns the entries
-    (a, b) of hdn that axiom hi derives once the cell is set, and every
-    instance of the hat axioms of the catalog whose last hup cell read is
-    this one, as a check() -> bool over the 2-D lists hup and hdn.  An hdn
-    read counts as reads of the two cells it is derived from.  A hat entry
-    is only ever read at indices that are up and dn values, so one
-    evaluation per instance, over tables that record the cells read,
-    finds its last cell.
+
+class _HatRow:
+    """Row h[i] of up or dn at plan time."""
+
+    __slots__ = ("pad", "rows", "i")
+
+    def __init__(self, pad, rows, i):
+        self.pad, self.rows, self.i = pad, rows, i
+
+    def __getitem__(self, y):
+        if isinstance(y, int):
+            return _Sym(self.rows[y], self.i, self.i)
+        # y.at - n is y's place in h, and a TypeError unless y is a hat entry
+        return _Sym(self.pad, self.i, y.at - len(self.rows))
+
+
+def _hat_readers(up: tuple, dn: tuple) -> tuple:
+    """(up, dn, hup, hdn) at plan time: hup[x][y] is the hat entry of
+    h[x*n + y] and hdn[a][b] that of h[n*n + a*n + b]; up and dn are
+    lists of their rows at the constants, then at the hat entries."""
+    n = len(up)
+    size = n + 1
+    first = tuple((i,) * size for i in range(size))
+    entries = range(2 * n * n)
+    hats = [_Sym(first, i, i, n + i) for i in entries]
+    readers = []
+    for t in (up, dn):
+        # per constant x the matrix of t[x][h - 1], and per constant y
+        # that of t[h - 1][y], at each value h
+        pad = _padded(t)
+        cols = [tuple((v,) * size for v in row) for row in pad[1:]]
+        rows = [tuple((row[y],) * size for row in pad) for y in range(1, size)]
+        readers.append([(*t[x], *(_Sym(cols[x], i, i) for i in entries)) for x in range(n)]
+                       + [_HatRow(pad, rows, i) for i in entries])
+    grid = [hats[k:k + n] for k in range(0, 2 * n * n, n)]
+    return (*readers, grid[:n], grid[n:])
+
+
+def _hat_search_plan(up: tuple, dn: tuple, up_inv: tuple) -> tuple:
+    """The hat search over the 0-based tables up, dn, filed per hup cell.
+
+    The search sets hup[x][y] at step x*n + y, and derives hdn[a][b] once
+    the two hup cells of axiom hi.a are set.  For each step this returns
+    the derivations (t, M, i, j), setting h[t] = M[h[i]][h[j]]; the checks
+    whose last entry read is set there, each holding iff
+    L[h[a1]][h[a2]] == R[h[b1]][h[b2]], with duplicates and checks of two
+    equal sides dropped; and the rows (k, span) finished there, row k of
+    hup (k < n) or hdn being h[span].  A hat entry is only read at up and
+    dn values, so one evaluation over _hat_readers compiles an instance.
     """
     n = len(up)
+    cells = n * n
     r = range(n)
-    # axiom hi: hdn[a][b] = up_inv[hup[dn[a][b]][up[b][a]]][hup[b][a]]
-    hdn_last = [[max(b * n + a, dn[a][b] * n + up[b][a]) for b in r] for a in r]
-    derive = [[] for _ in range(n * n)]
-    for a in r:
-        for b in r:
-            derive[hdn_last[a][b]].append((a, b))
-    seen = [-1]
-    hup_reads = [_LastCell(range(x * n, x * n + n), seen) for x in r]
-    hdn_reads = [_LastCell(row, seen) for row in hdn_last]
-    checks = [[] for _ in range(n * n)]
-    for _, axiom, w in _instances(_HAT_AXIOMS, n):
-        seen[0] = -1
-        axiom(up, dn, hup_reads, hdn_reads, *w)
-        checks[seen[0]].append(functools.partial(axiom, up, dn, hup, hdn, *w))
-    return derive, checks
+    # axiom hi.a: hdn[a][b] = up_inv[hup[dn[a][b]][up[b][a]]][hup[b][a]]
+    sources = [(dn[a][b] * n + up[b][a], b * n + a) for a in r for b in r]
+    step = [*range(cells), *map(max, sources)]
+    derive = [[] for _ in range(cells)]
+    inverse = _padded(up_inv)
+    for t, (i, j) in enumerate(sources, cells):
+        derive[step[t]].append((t, inverse, i, j))
+    readers = _hat_readers(up, dn)
+    checks = [[] for _ in range(cells)]
+    kept = set()
+    for wait, axiom, w in _instances(_HAT_AXIOMS, n):
+        if wait is None:
+            continue
+        check = axiom(*readers, *w)
+        if check[:3] != check[3:] and check not in kept:
+            kept.add(check)
+            _, a1, a2, _, b1, b2 = check
+            checks[max(step[a1], step[a2], step[b1], step[b2])].append(check)
+    finish = [[] for _ in range(cells)]
+    for k in range(2 * n):
+        span = slice(k * n, k * n + n)
+        finish[max(step[span])].append((k, span))
+    return derive, checks, finish
 
 
 def enumerate_singular_extensions(table: SemiquandleTable,
@@ -264,41 +325,41 @@ def enumerate_singular_extensions(table: SemiquandleTable,
     from axiom hi once both hup cells it depends on are set.  Each
     instance of the hat axioms is checked as soon as the last hup cell it
     reads is set, and a failing one prunes every table below that cell.
-    One node is one value tried in one cell, counted against the budget.
+    Each row is frozen once, when its last entry is set, and shared by
+    every extension below.  One node is one value tried in one cell,
+    counted against the budget.
     """
     ops = StructureBundle(table).ops
-    up, dn, up_inv = ops["up"], ops["dn"], ops["up_inv"]
     n = table.n
-    hup = [[-1] * n for _ in range(n)]
-    hdn = [[0] * n for _ in range(n)]
-    derive, checks = _hat_search_plan(up, dn, hup, hdn)
-    cells = [(hup[x], y) for x in range(n) for y in range(n)]
+    derive, checks, finish = _hat_search_plan(ops["up"], ops["dn"], ops["up_inv"])
+    h = [0] * (2 * n * n)
+    rows = [None] * (2 * n)
+    last = n * n - 1
     nodes = found = 0
     c = 0
     while c >= 0:
-        row, y = cells[c]
-        value = row[y] + 1
-        if value == n:
-            row[y] = -1
+        value = h[c] + 1
+        if value > n:
+            h[c] = 0
             c -= 1
             continue
-        row[y] = value
+        h[c] = value
         nodes += 1
         if nodes > node_budget:
             raise ResourceBudgetExceeded(nodes, found)
-        for a, b in derive[c]:
-            hdn[a][b] = up_inv[hup[dn[a][b]][up[b][a]]][hup[b][a]]
-        for check in checks[c]:
-            if not check():
+        for t, m, i, j in derive[c]:
+            h[t] = m[h[i]][h[j]]
+        for left, a1, a2, right, b1, b2 in checks[c]:
+            if left[h[a1]][h[a2]] != right[h[b1]][h[b2]]:
                 break
         else:
-            if c + 1 < len(cells):
+            for k, span in finish[c]:
+                rows[k] = tuple(h[span])
+            if c < last:
                 c += 1
                 continue
             found += 1
-            yield SingularExtension._from_frozen(
-                tuple([tuple([v + 1 for v in row]) for row in hup]),
-                tuple([tuple([v + 1 for v in row]) for row in hdn]))
+            yield SingularExtension._from_frozen(tuple(rows[:n]), tuple(rows[n:]))
 
 
 def enumerate_virtual_structures(bundle: StructureBundle,

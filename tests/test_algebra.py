@@ -15,6 +15,7 @@ from semiquandles.algebra import (
     trivial_singular, identity_perm, perm_from_cycles, perm_inverse, perm_compose,
     format_table_text, parse_table_text, builtin_bundle, BUILTIN_BUNDLES,
 )
+from semiquandles.enumeration import enumerate_semiquandles
 
 T4 = builtin_bundle("t4")
 T4S = builtin_bundle("t4_sing")
@@ -67,6 +68,71 @@ def test_every_catalog_axiom_is_reported_by_its_checker():
         seen_hat |= {v.axiom for v in check_singular(T4.table.up, T4.table.dn, hup, hdn)}
     assert seen_flat == set(flat)
     assert seen_hat == set(hat)
+
+
+def restated_report(up, dn, hup=None, hdn=None) -> set:
+    """The failed instances of axioms i to iii.c, or of hi.a to hii.c
+    when hup and hdn are given, each axiom stated here as its own loop
+    over the 1-based tables, apart from the catalog."""
+    n = len(up)
+    r = range(1, n + 1)
+
+    def u(x, y):
+        return up[x - 1][y - 1]
+
+    def d(x, y):
+        return dn[x - 1][y - 1]
+
+    def H(x, y):
+        return hup[x - 1][y - 1]
+
+    def K(x, y):
+        return hdn[x - 1][y - 1]
+    report = set()
+    for x, y in itertools.product(r, repeat=2):
+        if hup is None:
+            pairs = {"i": (d(x, y) == y) == (u(y, x) == x),
+                     "ii.a": u(d(x, y), u(y, x)) == x,
+                     "ii.b": d(u(x, y), d(y, x)) == x}
+        else:
+            pairs = {"hi.a": H(d(y, x), u(x, y)) == u(K(y, x), H(x, y)),
+                     "hi.b": K(u(x, y), d(y, x)) == d(H(x, y), K(y, x))}
+        report |= {(name, (x, y)) for name, holds in pairs.items() if not holds}
+        for z in r:
+            if hup is None:
+                triples = {
+                    "iii.a": u(u(x, y), z) == u(u(x, d(z, y)), u(y, z)),
+                    "iii.b": u(d(y, x), d(z, u(x, y))) == d(u(y, z), u(x, d(z, y))),
+                    "iii.c": d(d(z, u(x, y)), d(y, x)) == d(d(z, y), x)}
+            else:
+                triples = {
+                    "hii.a": H(u(x, y), z) == u(H(x, d(z, y)), u(y, z)),
+                    "hii.b": u(d(y, x), K(z, u(x, y))) == d(u(y, z), H(x, d(z, y))),
+                    "hii.c": d(K(z, u(x, y)), d(y, x)) == K(d(z, y), x)}
+            report |= {(name, (x, y, z)) for name, holds in triples.items() if not holds}
+    return report
+
+
+def test_checkers_agree_with_the_axioms_restated_apart_from_the_catalog():
+    # random tables of orders 2 to 4 with permutation columns (so axiom 0
+    # holds) and random hat tables over t4 and each order-3 class
+    def reported(report):
+        return {(v.axiom, v.witness) for v in report}
+    rng = random.Random(11)
+    for n in (2, 3, 4):
+        for _ in range(30):
+            up, dn = (tuple(zip(*(rng.sample(range(1, n + 1), n) for _ in range(n))))
+                      for _ in range(2))
+            assert reported(check_semiquandle(up, dn)) == restated_report(up, dn)
+    tables = [T4.table, *enumerate_semiquandles(3, up_to_iso=True)]
+    for table in tables:
+        n = table.n
+        assert restated_report(table.up, table.dn) == set()
+        for _ in range(30):
+            hup, hdn = (tuple(tuple(rng.randint(1, n) for _ in range(n)) for _ in range(n))
+                        for _ in range(2))
+            assert (reported(check_singular(table.up, table.dn, hup, hdn))
+                    == restated_report(table.up, table.dn, hup, hdn))
 
 
 def test_constant_action_tables_satisfy_axioms():

@@ -1,5 +1,6 @@
 """Enumeration of semiquandles and extensions against naive oracles."""
 
+import hashlib
 import itertools
 import random
 
@@ -7,13 +8,13 @@ import pytest
 
 import semiquandles.algebra as algebra
 import semiquandles.enumeration as enumeration
-from semiquandles.algebra import (SemiquandleTable, StructureBundle,
+from semiquandles.algebra import (_HAT_AXIOMS, SemiquandleTable, StructureBundle,
                                   automorphisms, builtin_bundle,
                                   check_semiquandle, check_singular,
                                   column_inverse, make_constant_action,
                                   perm_inverse)
 from semiquandles.enumeration import (
-    CanonicalForm, ResourceBudgetExceeded, _hat_search_plan,
+    CanonicalForm, ResourceBudgetExceeded, _hat_readers, _hat_search_plan,
     enumerate_semiquandles, enumerate_singular_extensions,
     enumerate_virtual_structures,
 )
@@ -204,24 +205,83 @@ def test_singular_extensions_of_t4():
         assert {(relabel(h, phi), relabel(g, phi)) for h, g in got} == set(got)
 
 
+HAT_TABLES = [builtin_bundle("t4").table, *enumerate_semiquandles(3, up_to_iso=True)]
+
+
+def compiled_hat_instances(up, dn):
+    """(name, holds, witness, check) for every instance of every hat
+    axiom, check compiled over the readers of the hat search."""
+    readers = _hat_readers(up, dn)
+    return [(name, holds, w, holds(*readers, *w))
+            for name, arity, _, holds in _HAT_AXIOMS
+            for w in itertools.product(range(len(up)), repeat=arity)]
+
+
 def test_hat_search_plan_compiles_every_axiom_instance():
-    # hup and hdn are drawn independently: with hdn derived from hup by
-    # axiom hi, hi.a and hi.b never fail on these tables
+    # hup and hdn are drawn independently, so hi.a and hi.b fail too
     rng = random.Random(4)
-    tables = [builtin_bundle("t4").table, *enumerate_semiquandles(3, up_to_iso=True)]
-    for table in tables:
+    for table in HAT_TABLES:
         n = table.n
         ops = StructureBundle(table).ops
-        hup, hdn = [], []
-        _, checks = _hat_search_plan(ops["up"], ops["dn"], hup, hdn)
+        up, dn = ops["up"], ops["dn"]
+        instances = compiled_hat_instances(up, dn)
         for _ in range(40):
-            for t in (hup, hdn):
-                flat = [rng.randrange(n) for _ in range(n * n)]
-                t[:] = [flat[i:i + n] for i in range(0, n * n, n)]
-            failing = sum(not check() for cell in checks for check in cell)
-            hup1, hdn1 = (tuple(tuple(v + 1 for v in row) for row in t)
-                          for t in (hup, hdn))
-            assert failing == len(check_singular(table.up, table.dn, hup1, hdn1))
+            hup, hdn = ([[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+                        for _ in range(2))
+            h = [v + 1 for t in (hup, hdn) for row in t for v in row]
+            for _, holds, w, (left, a1, a2, right, b1, b2) in instances:
+                assert ((left[h[a1]][h[a2]] == right[h[b1]][h[b2]])
+                        == holds(up, dn, hup, hdn, *w))
+
+
+def test_hat_search_plan_files_each_distinct_check_under_its_last_cell():
+    # hi.a is left out because the search derives hdn from it; a check
+    # whose two sides are the same always holds
+    for table in HAT_TABLES:
+        n = table.n
+        ops = StructureBundle(table).ops
+        up, dn = ops["up"], ops["dn"]
+        # hup[x][y] is set at step x*n + y, hdn[a][b] once the two hup
+        # cells axiom hi derives it from are
+        step = [*range(n * n), *(max(b * n + a, dn[a][b] * n + up[b][a])
+                                 for a in range(n) for b in range(n))]
+        want = [set() for _ in range(n * n)]
+        for name, _, _, check in compiled_hat_instances(up, dn):
+            if name != "hi.a" and check[:3] != check[3:]:
+                want[max(step[i] for i in check[1:3] + check[4:])].add(check)
+        _, checks, _ = _hat_search_plan(up, dn, ops["up_inv"])
+        assert [len(set(cell)) for cell in checks] == [len(cell) for cell in checks]
+        assert [set(cell) for cell in checks] == want
+
+
+def test_singular_extensions_and_budget_stops_are_pinned():
+    # regression values of the search before its checks were compiled:
+    # every extension, in order, of the 15 tables of order <= 3 and of
+    # t4, and where the budget stops it on t4 and the trivial order-3 table
+    tables = [t for n in (1, 2, 3) for t in enumerate_semiquandles(n)]
+    tables.append(builtin_bundle("t4").table)
+    digest = hashlib.sha256()
+    count = 0
+    for t in tables:
+        for e in enumerate_singular_extensions(t):
+            digest.update(repr((e.hup, e.hdn)).encode())
+            count += 1
+    assert count == 20233
+    assert digest.hexdigest() == (
+        "9277fc92903d0ba9a3d1cf41f58d6de01ab239878d3f6a52ec405df29e0cac05")
+
+    def stop(table, budget):
+        try:
+            for _ in enumerate_singular_extensions(table, node_budget=budget):
+                pass
+        except ResourceBudgetExceeded as e:
+            return e.nodes, e.found
+    t4, trivial = tables[-1], tables[3]
+    assert trivial.up == ((1, 1, 1), (2, 2, 2), (3, 3, 3))
+    assert [stop(t4, b) for b in (0, 5, 100, 250, 400, 550, 843, 844)] == [
+        (1, 0), (6, 0), (101, 2), (251, 5), (401, 8), (551, 10), (844, 16), None]
+    assert [stop(trivial, b) for b in (7, 1000, 12345, 29000)] == [
+        (8, 0), (1001, 664), (12346, 8228), (29001, 19332)]
 
 
 def test_singular_extension_budget_reports_progress():
