@@ -1,4 +1,10 @@
-"""Presentations, the coloring solver, and counting / enhanced invariants."""
+"""Presentations, the coloring solver, and counting / enhanced invariants.
+
+The invariants are computed piece by piece: labels that no chain of
+relations joins color independently, so the count is the product of the
+pieces' counts and the enhanced invariant joins the pieces' value-set
+histograms.  `colorings` lists each coloring of a whole presentation.
+"""
 
 from __future__ import annotations
 
@@ -274,6 +280,56 @@ def _arc_consistent(constraints, watchers, domains: list, queue, full: int) -> b
     return True
 
 
+class _Budget:
+    """Search nodes visited and colorings found against one node budget,
+    shared by every search of one call."""
+
+    def __init__(self, limit: int):
+        self.limit, self.nodes, self.found = limit, 0, 0
+
+
+def _search(constraints, size: int, full: int, budget: _Budget):
+    """Yield the domains of each solution of constraints over labels
+    0..size-1, every domain then one bit, deterministically.
+
+    Propagation makes every constraint generalized arc consistent: it
+    drops each value no row of the constraint supports within the current
+    domains, and requeues the constraints that watch a label it narrowed.
+    The search then branches on the open label with the smallest domain
+    (ties to the first label), trying its values in ascending order.
+
+    A node is one domain state the search propagates: the root, or one
+    value tried for a branching label.  Each solution yielded is one such
+    node.  Visiting more than budget.limit nodes in all raises
+    ResourceBudgetExceeded, after the solutions found so far.
+    """
+    watchers = [[] for _ in range(size)]
+    for c, (scope, _, _) in enumerate(constraints):
+        for lab in scope:
+            watchers[lab].append(c)
+    stack = [([full] * size, range(len(constraints)))]
+    nodes, limit = budget.nodes, budget.limit
+    while stack:
+        domains, queue = stack.pop()
+        nodes += 1
+        if nodes > limit:
+            raise ResourceBudgetExceeded(nodes, budget.found, "colorings")
+        if not _arc_consistent(constraints, watchers, domains, queue, full):
+            continue
+        _, branch = min(((d.bit_count(), lab) for lab, d in enumerate(domains)
+                         if d & (d - 1)), default=(0, None))
+        if branch is None:
+            budget.nodes = nodes
+            budget.found += 1
+            yield domains
+            continue
+        for bit, _ in reversed(_bits(domains[branch])):
+            child = domains.copy()
+            child[branch] = bit
+            stack.append((child, watchers[branch]))
+    budget.nodes = nodes
+
+
 def colorings(p: Presentation, bundle: StructureBundle,
               node_budget: int = NODE_BUDGET):
     """Yield every satisfying assignment generator -> 1..n, deterministically.
@@ -281,52 +337,77 @@ def colorings(p: Presentation, bundle: StructureBundle,
     The relations become table constraints: one per crossing on its four
     labels (a, b, a', b'), one per v relation on two, and one per relation
     that does not pair into a crossing on three (see `_constraints`).
-    Each label keeps a bitmask domain of the values still possible.
-    Propagation makes every constraint generalized arc consistent: it
-    drops each value no row of the constraint supports within the current
-    domains, and requeues the constraints that watch a label it narrowed.
-    The search then branches on the open label with the smallest domain
-    (ties to the first generator), trying its values in ascending order.
-
-    A node is one domain state the search propagates: the root, or one
-    value tried for a branching label.  Each coloring yielded is one such
-    node, so a presentation with more colorings than node_budget cannot
-    finish either.  Visiting more than node_budget nodes raises
+    Each label keeps a bitmask domain of the values still possible, and
+    `_search` lists the solutions of the whole presentation.  Each
+    coloring costs a node, so a presentation with more colorings than
+    node_budget cannot finish; visiting more than node_budget nodes raises
     ResourceBudgetExceeded, after the colorings found so far.
     """
     _require_ops(p, bundle)
     n = bundle.n
-    full = (1 << n) - 1
     constraints = _constraints(p, bundle.ops, n)
-    watchers = [[] for _ in p.generators]
-    for c, (scope, _, _) in enumerate(constraints):
-        for lab in scope:
-            watchers[lab].append(c)
-    stack = [([full] * len(p.generators), range(len(constraints)))]
-    nodes = found = 0
-    while stack:
-        domains, queue = stack.pop()
-        nodes += 1
-        if nodes > node_budget:
-            raise ResourceBudgetExceeded(nodes, found, "colorings")
-        if not _arc_consistent(constraints, watchers, domains, queue, full):
-            continue
-        _, branch = min(((d.bit_count(), lab) for lab, d in enumerate(domains)
-                         if d & (d - 1)), default=(0, None))
-        if branch is None:
-            found += 1
-            yield {g: d.bit_length() for g, d in zip(p.generators, domains)}
-            continue
-        for bit, _ in reversed(_bits(domains[branch])):
-            child = domains.copy()
-            child[branch] = bit
-            stack.append((child, watchers[branch]))
+    for domains in _search(constraints, len(p.generators), (1 << n) - 1,
+                           _Budget(node_budget)):
+        yield {g: d.bit_length() for g, d in zip(p.generators, domains)}
+
+
+def _pieces(size: int, constraints) -> list:
+    """The independent pieces of a constraint problem over labels
+    0..size-1, as (label count, constraints) pairs in order of least label.
+
+    Union-find over the constraint scopes joins every label a constraint
+    reads.  A label in no constraint is a piece of its own with no
+    constraint.  Each piece's constraints keep their order and are
+    reindexed to the piece's labels, which keep theirs, so a problem that
+    is one piece comes back as it is.
+    """
+    root = list(range(size))
+
+    def find(lab):
+        while root[lab] != lab:
+            root[lab] = root[root[lab]]
+            lab = root[lab]
+        return lab
+
+    for scope, _, _ in constraints:
+        for lab in scope[1:]:
+            root[find(lab)] = find(scope[0])
+    pieces = {}
+    for lab in range(size):
+        pieces.setdefault(find(lab), ([], []))[0].append(lab)
+    if len(pieces) == 1:
+        return [(size, constraints)]
+    for con in constraints:
+        pieces[find(con[0][0])][1].append(con)
+    out = []
+    for labels, cons in pieces.values():
+        local = {lab: i for i, lab in enumerate(labels)}
+        out.append((len(labels), [(tuple(local[lab] for lab in scope), support, live)
+                                  for scope, support, live in cons]))
+    return out
+
+
+def _piece_solutions(p: Presentation, bundle: StructureBundle, budget: _Budget):
+    """Yield, per piece of p, None for a free label (it takes each value
+    once), else the `_search` of the piece against the shared budget."""
+    _require_ops(p, bundle)
+    n = bundle.n
+    for size, cons in _pieces(len(p.generators), _constraints(p, bundle.ops, n)):
+        yield _search(cons, size, (1 << n) - 1, budget) if cons else None
 
 
 def count_colorings(p: Presentation, bundle: StructureBundle,
                     node_budget: int = NODE_BUDGET) -> int:
-    """Number of homomorphisms from the presented structure to the bundle."""
-    return sum(1 for _ in colorings(p, bundle, node_budget))
+    """Number of homomorphisms from the presented structure to the bundle.
+
+    Pieces that share no label color independently (see `_pieces`), so
+    the count is the product of the pieces' counts: a free label counts
+    n, and the searches of the other pieces share node_budget.
+    """
+    total = 1
+    for solutions in _piece_solutions(p, bundle, _Budget(node_budget)):
+        total *= bundle.n if solutions is None else sum(1 for _ in solutions)
+    return total
 
 
 def enhanced_invariant(p: Presentation, bundle: StructureBundle,
@@ -334,17 +415,38 @@ def enhanced_invariant(p: Presentation, bundle: StructureBundle,
     """Counting invariant enhanced by image-subalgebra sizes.
 
     The image of a coloring is the subclosure of its value set, so the
-    polynomial records z^|Im(f)| for each coloring f.  Colorings with the
-    same value set have the same image, so each distinct value set is
-    closed once per call.
+    polynomial records z^|Im(f)| for each coloring f.  The value set of
+    a coloring of the whole presentation is the union of its pieces'
+    value sets, so the pieces' {value mask: colorings} histograms combine
+    by OR-convolution, and each final mask is closed once.  The searches
+    share node_budget as in `count_colorings`; since the result lists one
+    size per coloring, a product of counts above node_budget raises
+    ResourceBudgetExceeded too, reporting that product as found.
     """
-    image_size = {}
+    budget = _Budget(node_budget)
+    hist, total = {0: 1}, 1
+    for solutions in _piece_solutions(p, bundle, budget):
+        if solutions is None:
+            piece = {1 << x: 1 for x in range(bundle.n)}
+        else:
+            piece = {}
+            for domains in solutions:
+                mask = 0
+                for d in domains:
+                    mask |= d
+                piece[mask] = piece.get(mask, 0) + 1
+        total *= sum(piece.values())
+        if total > node_budget:
+            raise ResourceBudgetExceeded(budget.nodes, total, "colorings")
+        joined = {}
+        for a, ka in hist.items():
+            for b, kb in piece.items():
+                joined[a | b] = joined.get(a | b, 0) + ka * kb
+        hist = joined
     sizes = []
-    for f in colorings(p, bundle, node_budget):
-        values = frozenset(f.values())
-        if values not in image_size:
-            image_size[values] = len(subclosure(bundle, values))
-        sizes.append(image_size[values])
+    for mask, k in hist.items():
+        values = frozenset(x + 1 for _, x in _bits(mask))
+        sizes += [len(subclosure(bundle, values))] * k
     sizes.sort()
     return InvariantResult(len(sizes), tuple(sizes), polynomial_text(sizes))
 

@@ -1,6 +1,7 @@
 """CLI verbs, exit codes, and byte-determinism."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -259,6 +260,25 @@ def test_unlink_builtin_is_bounded(capsys):
     assert "unknown builtin" in err and len(err.splitlines()) == 1
 
 
+def test_unlink_counts_as_a_product_of_free_labels(capsys):
+    # each crossing-free component is a free label: a factor of 4 over t4
+    rc, out, err = run(capsys, "count", "--table", "t4", "--builtin", "unlink(9)")
+    assert rc == 0 and not err and json.loads(out) == {"count": 262144}
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, "count", "--table", "t4", "--builtin", "unlink(999)")
+    assert time.perf_counter() - start < 0.5
+    assert rc == 0 and json.loads(out) == {"count": 4 ** 999}
+
+
+def test_poly_refuses_more_colorings_than_the_budget_at_once(capsys):
+    # poly lists one image size per coloring, so the product is bounded
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "poly", "--table", "t4", "--builtin", "unlink(999)")
+    assert time.perf_counter() - start < 0.5
+    assert rc == 3 and not out
+    assert err.startswith("budget exceeded:") and len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # auto
 
@@ -285,6 +305,26 @@ def test_moves_test_json_report(capsys):
     assert rc == 0
     report = json.loads(out)
     assert report["trials"] == 9 and report["failures"] == []
+
+
+# SHA-256 of moves-test stdout as first released; a faster trial path
+# must draw the same codes and moves and print the same bytes
+MOVES_TEST_SHA256 = {
+    (0, False): "b9fa69e74f2c8ec5c2b25104d9532f46ef732805acd5595c0e42de5af9633450",
+    (0, True): "2f25eba4a57ea1fb171b6d2c4351eee914c077ba503bd7ee02bdc0f407fd7a32",
+    (5, False): "fc91072904c90e27b3f90e888801f1c996d37929a14c0e7414bc2650aa74be64",
+    (5, True): "d3e1c11303babc6b3ebc021c6af94ff1e2d81d8b5e3c10adec12fb68458aa7b8",
+    (37, False): "d2e94d586e73d397ca8aed8067737589edaecf56084a47c24e35e57322587e8e",
+    (37, True): "656f0cf950472a8795d66222b26a39ed2f331e46f1267bfca79e07d071d8be97",
+}
+
+
+@pytest.mark.parametrize("seed, as_json", sorted(MOVES_TEST_SHA256))
+def test_moves_test_stdout_is_pinned(capsys, seed, as_json):
+    argv = ["moves-test", "--trials", "500", "--seed", str(seed)]
+    rc, out, _ = run(capsys, *argv + ["--json"] * as_json)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MOVES_TEST_SHA256[seed, as_json]
 
 
 def test_moves_test_negative_trials_is_invalid_input(capsys):

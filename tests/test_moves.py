@@ -16,7 +16,7 @@ from semiquandles.moves import (
     MOVE_IDS, MoveError, MoveSpec, apply_move, inverse_of, applicable_moves,
     canonical, random_code, run_move_trials,
     forbidden_sites, apply_forbidden, reverse_slide_sites, apply_reverse_slide,
-    _INSERTS, _SOUND_TRIANGLES,
+    _INSERTS, _SOUND_TRIANGLES, _moves_of,
 )
 from semiquandles.present import enhanced_invariant
 
@@ -267,6 +267,21 @@ def test_move_trials_deterministic_in_seed():
     a = run_move_trials(TRIAL_BUNDLES, trials=30, seed=7)
     b = run_move_trials(TRIAL_BUNDLES, trials=30, seed=7)
     assert a == b
+
+
+def test_one_moves_candidates_are_its_share_of_the_full_list():
+    # a trial draws from this list by index, so order matters as much as content
+    rng = random.Random(14)
+    inserted = 0
+    for _ in range(200):
+        budget = {kind: 2 for kind in "FSV"}
+        budget["components"] = rng.randint(1, 2)
+        code = random_code(budget, seed=rng.randrange(2 ** 30))
+        listed = applicable_moves(code)
+        for move in MOVE_IDS:
+            assert _moves_of(code, move) == [m for m in listed if m.move == move]
+        inserted += sum(m.direction == "insert" for m in listed)
+    assert inserted > 0
 
 
 def test_move_trials_reject_a_negative_count():
