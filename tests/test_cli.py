@@ -307,8 +307,8 @@ def test_moves_test_json_report(capsys):
     assert report["trials"] == 9 and report["failures"] == []
 
 
-# SHA-256 of moves-test stdout as first released; a faster trial path
-# must draw the same codes and moves and print the same bytes
+# SHA-256 of moves-test stdout: the trials must keep drawing the same
+# codes and moves, so a rework of the trial path prints these same bytes
 MOVES_TEST_SHA256 = {
     (0, False): "b9fa69e74f2c8ec5c2b25104d9532f46ef732805acd5595c0e42de5af9633450",
     (0, True): "2f25eba4a57ea1fb171b6d2c4351eee914c077ba503bd7ee02bdc0f407fd7a32",
