@@ -295,6 +295,19 @@ class StructureBundle:
             ops["v_inv"] = tuple(x - 1 for x in perm_inverse(self.virtual.v))
         return MappingProxyType(ops)
 
+    @cached_property
+    def _tables(self) -> dict:
+        """Private to `present`: the coloring solver's constraint tables by
+        (kinds, label pattern), each built on first use and kept, like
+        `ops`, as long as the bundle."""
+        return {}
+
+    @cached_property
+    def _image_sizes(self) -> dict:
+        """Private to `present`: |subclosure| by value mask (bit x-1 for
+        value x), each closed on first use and kept as long as the bundle."""
+        return {}
+
     def with_trivial_extensions(self) -> "StructureBundle":
         """Fill absent extensions with the trivial ones where they are valid.
 

@@ -4,6 +4,12 @@ The invariants are computed piece by piece: labels that no chain of
 relations joins color independently, so the count is the product of the
 pieces' counts and the enhanced invariant joins the pieces' value-set
 histograms.  `colorings` lists each coloring of a whole presentation.
+
+What the solver derives from a bundle alone is built on first use and
+kept with the bundle object, as `bundle.ops` is: each constraint table
+with its propagation memos (`_table`), and the image size of each value
+set (`enhanced_invariant`).  Calls on one long-lived bundle, such as a
+builtin one, share them; a bundle built for one call pays for them once.
 """
 
 from __future__ import annotations
@@ -171,12 +177,54 @@ def _rows(ops, kinds: tuple, n: int) -> list:
     return [(x, y, t[x][y]) for x in range(n) for y in range(n)]
 
 
+class _RowsIn(dict):
+    """rows[dom]: the bitmask of a table's rows whose value at one label
+    lies in the value mask dom, computed on first lookup."""
+
+    def __init__(self, support: list):
+        super().__init__()
+        self.support = support      # support[x]: the rows whose value is x
+
+    def __missing__(self, dom: int) -> int:
+        rows = 0
+        for _, x in _bits(dom):
+            rows |= self.support[x]
+        self[dom] = rows
+        return rows
+
+
+class _ValsOf(dict):
+    """vals[live]: for each label of a table, the value mask that the rows
+    in live carry there, computed on first lookup.
+
+    One memo per table, not per label, so propagation makes one lookup
+    per constraint: with per-label memos a call on a new bundle, which
+    misses more than it hits, ran slower than rebuilding the masks.
+    """
+
+    def __init__(self, supports: list):
+        super().__init__()
+        self.supports = supports    # per label, as in `_RowsIn`
+
+    def __missing__(self, live: int) -> tuple:
+        out = []
+        for support in self.supports:
+            vals = 0
+            for x, rows in enumerate(support):
+                if rows & live:
+                    vals |= 1 << x
+            out.append(vals)
+        out = self[live] = tuple(out)
+        return out
+
+
 def _table(rows, slot: tuple, width: int, n: int) -> tuple:
-    """A table over `width` distinct labels, as (support, all rows).
+    """A table over `width` distinct labels, as (rows memos, vals memo,
+    all rows), one `_RowsIn` per label and one `_ValsOf`.
 
     Position i of each row belongs to distinct label slot[i]; a label that
-    repeats (a kink) keeps only the rows that agree on it.  support[j][x]
-    is the bitmask of the kept rows whose value at label j is x.
+    repeats (a kink) keeps only the rows that agree on it.  Row r of the
+    kept rows, in sorted order, is bit 1 << r of every row mask.
     """
     kept = set()
     for row in rows:
@@ -192,22 +240,23 @@ def _table(rows, slot: tuple, width: int, n: int) -> tuple:
     for r, row in enumerate(sorted(kept)):
         for j, x in enumerate(row):
             support[j][x] |= 1 << r
-    return support, (1 << len(kept)) - 1
+    return tuple(_RowsIn(s) for s in support), _ValsOf(support), (1 << len(kept)) - 1
 
 
-def _constraints(p: Presentation, ops, n: int) -> list:
-    """The presentation as table constraints (scope, support, all rows),
-    scope holding generator indices, over 0-based values.
+def _constraints(p: Presentation, bundle: StructureBundle) -> list:
+    """The presentation as table constraints (scope, rows memos, vals
+    memo, all rows), scope holding generator indices, over 0-based values.
 
     A crossing's sup-pass relation up(a,b)=a' directly followed by its
     sub-pass relation dn(b,a)=b' (or hup/hdn) is one constraint on
     (a, b, a', b') with the n^2 rows (x, y, up[x][y], dn[y][x]); a v
     relation is one on (a, a'); any other relation keeps its own 3-label
     table, since hand-written presentations need not pair.  Constraints of
-    the same kinds and label pattern share one table.
+    the same kinds and label pattern share one table, built once per
+    bundle (`StructureBundle._tables`), memos and all.
     """
     index = {g: i for i, g in enumerate(p.generators)}
-    tables = {}
+    tables = bundle._tables
     out = []
     rels = p.relations
     i = 0
@@ -223,7 +272,8 @@ def _constraints(p: Presentation, ops, n: int) -> list:
         scope = tuple(dict.fromkeys(labels))
         slot = tuple(scope.index(lab) for lab in labels)
         if (kinds, slot) not in tables:
-            tables[kinds, slot] = _table(_rows(ops, kinds, n), slot, len(scope), n)
+            tables[kinds, slot] = _table(_rows(bundle.ops, kinds, bundle.n), slot,
+                                         len(scope), bundle.n)
         out.append((tuple(index[lab] for lab in scope),) + tables[kinds, slot])
     return out
 
@@ -244,34 +294,27 @@ def _arc_consistent(constraints, watchers, domains: list, queue, full: int) -> b
     arc consistent, starting from the constraints in queue.
 
     A constraint's live rows are those whose every value lies in its
-    label's domain; each of its labels keeps only the values some live
-    row carries, and a label that shrinks queues the other constraints
-    that watch it.  Returns False when some constraint has no live row.
+    label's domain (the AND of rows[dom] over its labels); each of its
+    labels keeps only the values some live row carries (vals[live]), and
+    a label that shrinks queues the other constraints that watch it.
+    Returns False when some constraint has no live row.
     """
     pending = list(queue)
     queued = set(pending)
     while pending:
         c = pending.pop()
         queued.discard(c)
-        scope, support, live = constraints[c]
-        for lab, sup in zip(scope, support):
+        scope, rows, vals, live = constraints[c]
+        for lab, rows_in in zip(scope, rows):
             dom = domains[lab]
             if dom != full:
-                rows = 0
-                for _, x in _bits(dom):
-                    rows |= sup[x]
-                live &= rows
+                live &= rows_in[dom]
         if not live:
             return False
-        for lab, sup in zip(scope, support):
-            dom = domains[lab]
-            if not dom & (dom - 1):
-                continue            # a fixed label keeps its value
-            kept = 0
-            for bit, x in _bits(dom):
-                if sup[x] & live:
-                    kept |= bit
-            if kept != dom:
+        # every live row's values lie in the domains, so vals[live] is
+        # the subset of each domain that some live row supports
+        for lab, kept in zip(scope, vals[live]):
+            if kept != domains[lab]:
                 domains[lab] = kept
                 for other in watchers[lab]:
                     if other != c and other not in queued:
@@ -304,7 +347,7 @@ def _search(constraints, size: int, full: int, budget: _Budget):
     ResourceBudgetExceeded, after the solutions found so far.
     """
     watchers = [[] for _ in range(size)]
-    for c, (scope, _, _) in enumerate(constraints):
+    for c, (scope, _, _, _) in enumerate(constraints):
         for lab in scope:
             watchers[lab].append(c)
     stack = [([full] * size, range(len(constraints)))]
@@ -345,7 +388,7 @@ def colorings(p: Presentation, bundle: StructureBundle,
     """
     _require_ops(p, bundle)
     n = bundle.n
-    constraints = _constraints(p, bundle.ops, n)
+    constraints = _constraints(p, bundle)
     for domains in _search(constraints, len(p.generators), (1 << n) - 1,
                            _Budget(node_budget)):
         yield {g: d.bit_length() for g, d in zip(p.generators, domains)}
@@ -369,7 +412,7 @@ def _pieces(size: int, constraints) -> list:
             lab = root[lab]
         return lab
 
-    for scope, _, _ in constraints:
+    for scope, _, _, _ in constraints:
         for lab in scope[1:]:
             root[find(lab)] = find(scope[0])
     pieces = {}
@@ -382,8 +425,8 @@ def _pieces(size: int, constraints) -> list:
     out = []
     for labels, cons in pieces.values():
         local = {lab: i for i, lab in enumerate(labels)}
-        out.append((len(labels), [(tuple(local[lab] for lab in scope), support, live)
-                                  for scope, support, live in cons]))
+        out.append((len(labels), [(tuple(local[lab] for lab in scope), rows, vals, live)
+                                  for scope, rows, vals, live in cons]))
     return out
 
 
@@ -391,9 +434,9 @@ def _piece_solutions(p: Presentation, bundle: StructureBundle, budget: _Budget):
     """Yield, per piece of p, None for a free label (it takes each value
     once), else the `_search` of the piece against the shared budget."""
     _require_ops(p, bundle)
-    n = bundle.n
-    for size, cons in _pieces(len(p.generators), _constraints(p, bundle.ops, n)):
-        yield _search(cons, size, (1 << n) - 1, budget) if cons else None
+    full = (1 << bundle.n) - 1
+    for size, cons in _pieces(len(p.generators), _constraints(p, bundle)):
+        yield _search(cons, size, full, budget) if cons else None
 
 
 def count_colorings(p: Presentation, bundle: StructureBundle,
@@ -418,7 +461,8 @@ def enhanced_invariant(p: Presentation, bundle: StructureBundle,
     polynomial records z^|Im(f)| for each coloring f.  The value set of
     a coloring of the whole presentation is the union of its pieces'
     value sets, so the pieces' {value mask: colorings} histograms combine
-    by OR-convolution, and each final mask is closed once.  The searches
+    by OR-convolution, and each final mask is closed once per bundle
+    (`StructureBundle._image_sizes`).  The searches
     share node_budget as in `count_colorings`; since the result lists one
     size per coloring, a product of counts above node_budget raises
     ResourceBudgetExceeded too, reporting that product as found.
@@ -443,10 +487,12 @@ def enhanced_invariant(p: Presentation, bundle: StructureBundle,
             for b, kb in piece.items():
                 joined[a | b] = joined.get(a | b, 0) + ka * kb
         hist = joined
+    closed = bundle._image_sizes
     sizes = []
     for mask, k in hist.items():
-        values = frozenset(x + 1 for _, x in _bits(mask))
-        sizes += [len(subclosure(bundle, values))] * k
+        if mask not in closed:
+            closed[mask] = len(subclosure(bundle, frozenset(x + 1 for _, x in _bits(mask))))
+        sizes += [closed[mask]] * k
     sizes.sort()
     return InvariantResult(len(sizes), tuple(sizes), polynomial_text(sizes))
 

@@ -2,6 +2,7 @@
 naive exhaustive oracle."""
 
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -11,9 +12,10 @@ import pytest
 
 import semiquandles.present as present
 from semiquandles.algebra import (ResourceBudgetExceeded, StructureBundle,
-                                  builtin_bundle, evaluate, subclosure)
+                                  builtin_bundle, evaluate, parse_table_text,
+                                  subclosure)
 from semiquandles.diagram import (_ROLES, CLASSICAL, Pass, PassCode,
-                                  extract_relations)
+                                  extract_relations, parse_code)
 from semiquandles.moves import random_code
 from semiquandles.present import (
     Presentation, Relation, PresentationError, MissingExtensionError,
@@ -230,12 +232,17 @@ def test_image_sizes_close_each_value_set_once(monkeypatch):
         seeds.append(frozenset(seed))
         return subclosure(bundle, seed)
     monkeypatch.setattr(present, "subclosure", counted)
+    # a bundle object of its own, so no other test has filled its memo
+    t4 = StructureBundle(T4.table)
     p = builtin("unlink(2)")
-    result = enhanced_invariant(p, T4)
+    result = enhanced_invariant(p, t4)
     # 16 colorings take 4 single values and 6 pairs: 10 value sets
     assert result.count == 16
     assert len(seeds) == len(set(seeds)) == 10
-    assert list(result.image_sizes) == naive_image_sizes(p, T4)
+    assert list(result.image_sizes) == naive_image_sizes(p, t4)
+    # the sizes are kept with the bundle, so a second call closes none
+    assert enhanced_invariant(p, t4) == result
+    assert len(seeds) == 10
 
 
 def closed_braid(word, strands: int) -> PassCode:
@@ -331,6 +338,166 @@ def test_solver_node_count_regression(seed, budget):
     with pytest.raises(ResourceBudgetExceeded) as e:
         count_colorings(p, t4, node_budget=budget // 10)
     assert e.value.nodes == budget // 10 + 1
+
+
+def pin_code(kinds: str, seed: int) -> Presentation:
+    budget = {kind: 5 for kind in kinds}
+    budget["components"] = 1 + seed % 3
+    return extract_relations(random_code(budget, seed=seed))
+
+
+def stops(p, bundle, node_budget):
+    """(nodes, found) where `colorings` stops within node_budget, or None
+    when it finishes."""
+    try:
+        for _ in colorings(p, bundle, node_budget=node_budget):
+            pass
+    except ResourceBudgetExceeded as e:
+        return e.nodes, e.found
+    return None
+
+
+PIN_BUDGETS = (1, 4, 16)
+
+# The search pinned exactly on `pin_code` seeds 0-39, per (code kinds,
+# bundle): each seed's node count, the least node_budget that does not
+# raise, and one SHA-256 over every seed's ordered colorings and the
+# (nodes, found) at which the search stops one node short and at each of
+# PIN_BUDGETS.  Computed with the solver that rebuilt its tables on every
+# call; propagation reaches a unique fixpoint, so no faster way to reach
+# it may move a node or reorder a coloring.
+SEARCH_PINS = {
+    ("F", "t4"): (
+        "21 21 85 5 3 21 21 3 11 21 21 85 21 37 85 5 3 7 5 21 21 5 21 7 "
+        "21 5 87 21 21 23 21 21 85 21 21 23 21 21 85 5",
+        "65510df2ff1a747ce346cd828eb30e70fb116acc66028cea549172a938b725d5"),
+    ("F", "t4_sing"): (
+        "21 21 85 5 3 21 21 3 11 21 21 85 21 37 85 5 3 7 5 21 21 5 21 7 "
+        "21 5 87 21 21 23 21 21 85 21 21 23 21 21 85 5",
+        "65510df2ff1a747ce346cd828eb30e70fb116acc66028cea549172a938b725d5"),
+    ("F", "ca3"): (
+        "4 13 40 4 1 4 4 1 1 4 4 40 4 13 40 4 1 1 4 4 13 4 13 1 4 4 1 4 "
+        "13 1 4 13 40 4 4 1 4 4 40 4",
+        "f983fd43a9f0024274c7de9da36fe41c8fa0be624453772493322d16a0f0b1f8"),
+    ("F", "ca3_op"): (
+        "4 13 40 4 1 4 4 1 1 4 4 40 4 13 40 4 1 1 4 4 13 4 13 1 4 4 1 4 "
+        "13 1 4 13 40 4 4 1 4 4 40 4",
+        "f983fd43a9f0024274c7de9da36fe41c8fa0be624453772493322d16a0f0b1f8"),
+    ("F", "ts3_v13"): (
+        "4 13 40 4 8 34 4 8 23 4 15 40 4 13 40 4 11 22 4 15 26 4 13 26 "
+        "4 11 30 4 13 23 4 13 40 4 15 38 4 15 46 4",
+        "d71d71c868503765a34711d7f5e56eacccb9e88bb0d1e468bf6cb0e599ffd362"),
+    ("FS", "t4_sing"): (
+        "9 5 85 29 29 29 21 13 15 21 21 221 13 29 7 5 29 23 5 21 61 5 "
+        "13 7 45 5 27 37 5 23 37 45 11 21 25 25 21 21 101 9",
+        "89b7a80523ffa74c7fe5b53a6f6c6c4ea89c31de1431721d74bf328c689769c5"),
+    ("FS", "ca3_op"): (
+        "13 40 40 40 13 4 4 4 1 4 4 364 13 4 40 4 4 40 4 4 4 4 4 1 13 4 "
+        "1 4 40 1 13 40 13 4 4 4 4 4 13 4",
+        "7e9fdde02139c935fc7663961a931de0b46faedf2da41b194bff6df851fe3ce8"),
+    ("FV", "ts3_v13"): (
+        "4 7 40 4 8 24 4 11 22 4 11 14 4 15 13 4 11 20 4 15 14 4 13 26 "
+        "4 7 28 4 13 10 4 13 4 4 15 24 4 15 28 4",
+        "69cb1310ccbee768f06e33ec582e6a131319dd31bf92a738bcd613076e52e39e"),
+}
+
+
+@pytest.mark.parametrize("kinds, name", sorted(SEARCH_PINS))
+def test_search_is_pinned_to_its_colorings_and_node_counts(kinds, name):
+    bundle = builtin_bundle(name)
+    counts, expected = SEARCH_PINS[kinds, name]
+    digest = hashlib.sha256()
+    for seed, nodes in enumerate(map(int, counts.split())):
+        p = pin_code(kinds, seed)
+        listed = [tuple(f.values()) for f in colorings(p, bundle, node_budget=nodes)]
+        short = stops(p, bundle, nodes - 1)
+        assert short is not None, (seed, nodes)
+        digest.update(repr((listed, short, [stops(p, bundle, b) for b in PIN_BUDGETS]))
+                      .encode())
+    assert digest.hexdigest() == expected
+
+
+def table_rows(con) -> list:
+    """The value tuples of a constraint's table, read off its rows memos'
+    supports (support[x]: the rows whose value is x)."""
+    supports = [rows_in.support for rows_in in con[1]]
+    return [tuple(next(x for x, rows in enumerate(sup) if rows >> r & 1)
+                  for sup in supports)
+            for r in range(con[3].bit_length())]
+
+
+def plain_gac(tables, domains: list, n: int):
+    """Generalized arc consistency as a plain per-value loop: drop each
+    value that no row of some table carries with every value of the row
+    in its label's domain, until nothing changes.  None when some table
+    has no such row."""
+    domains = list(domains)
+    changed = True
+    while changed:
+        changed = False
+        for scope, rows in tables:
+            inside = [row for row in rows
+                      if all(domains[lab] >> x & 1 for lab, x in zip(scope, row))]
+            if not inside:
+                return None
+            for j, lab in enumerate(scope):
+                kept = 0
+                for x in range(n):
+                    if domains[lab] >> x & 1 and any(row[j] == x for row in inside):
+                        kept |= 1 << x
+                if kept != domains[lab]:
+                    domains[lab] = kept
+                    changed = True
+    return domains
+
+
+def test_propagation_matches_plain_gac_on_random_domains():
+    rng = random.Random(20261019)
+    verdicts = {True: 0, False: 0}
+    for name, kinds in (("t4", "F"), ("t4_sing", "FS"), ("ca3_op", "FS"),
+                        ("ts3_v13", "FV")):
+        shared = builtin_bundle(name)
+        # a bundle object of its own, so this test fills every memo it reads
+        bundle = StructureBundle(shared.table, shared.singular, shared.virtual)
+        n, full = bundle.n, (1 << bundle.n) - 1
+        for _ in range(25):
+            budget = {kind: 4 for kind in kinds}
+            budget["components"] = rng.randint(1, 3)
+            p = extract_relations(random_code(budget, seed=rng.randrange(2 ** 30)))
+            constraints = present._constraints(p, bundle)
+            tables = [(con[0], table_rows(con)) for con in constraints]
+            watchers = [[c for c, con in enumerate(constraints) if lab in con[0]]
+                        for lab in range(len(p.generators))]
+            for _ in range(8):
+                domains = [full if rng.random() < 0.5 else rng.randint(1, full)
+                           for _ in p.generators]
+                expected = plain_gac(tables, domains, n)
+                ok = present._arc_consistent(constraints, watchers, domains,
+                                             range(len(constraints)), full)
+                assert ok == (expected is not None)
+                if ok:
+                    assert domains == expected
+                verdicts[ok] += 1
+    assert min(verdicts.values()) >= 100, verdicts
+
+
+def test_order_16_trivial_table_colors_each_component_once():
+    # up(x,y) = dn(x,y) = x: each component keeps one value, and every
+    # value set is closed, so its image is the set of component values
+    n = 16
+    block = "".join(" ".join([str(x)] * n) + "\n" for x in range(1, n + 1))
+    bundle = parse_table_text(f"semiquandle {n}\n\n{block}\n{block}")
+    codes = ("comp: F1.sup F1.sub",
+             "comp: F1.sup F2.sub\ncomp: F1.sub F2.sup",
+             "comp: F1.sup F3.sub\ncomp: F1.sub F2.sup\ncomp: F2.sub F3.sup")
+    for k, text in enumerate(codes, 1):
+        p = extract_relations(parse_code(text + "\n"))
+        start = time.perf_counter()
+        assert count_colorings(p, bundle) == n ** k
+        result = enhanced_invariant(p, bundle)
+        assert time.perf_counter() - start < 1
+        assert list(result.image_sizes) == sorted(
+            len(set(values)) for values in itertools.product(range(n), repeat=k))
 
 
 # ---------------------------------------------------------------------------
