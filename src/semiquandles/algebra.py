@@ -30,10 +30,6 @@ class AxiomError(ValueError):
         super().__init__(f"axiom violations: {lines}{more}")
 
 
-class OperationUnavailable(LookupError):
-    """Requested an operation the bundle does not carry."""
-
-
 class ResourceBudgetExceeded(RuntimeError):
     """Search node budget exhausted; carries the partial progress made."""
 
@@ -64,6 +60,16 @@ def _raise_for(report: list) -> None:
 
 def _freeze(rows) -> tuple:
     return tuple(tuple(int(v) for v in row) for row in rows)
+
+
+def _trusted(cls, **fields):
+    """A frozen cls from fields already frozen and proven to satisfy its
+    axioms, without the copy and the checks of its constructor.  Only the
+    enumerators call it, for the tables their searches have proved."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _structure_report(name: str, rows, n: int) -> list:
@@ -210,15 +216,6 @@ class SingularExtension:
         object.__setattr__(self, "hup", _freeze(self.hup))
         object.__setattr__(self, "hdn", _freeze(self.hdn))
 
-    @classmethod
-    def _from_frozen(cls, hup: tuple, hdn: tuple) -> "SingularExtension":
-        """An extension from rows already built as tuples of int tuples,
-        without the normalising copy of the constructor."""
-        ext = object.__new__(cls)
-        object.__setattr__(ext, "hup", hup)
-        object.__setattr__(ext, "hdn", hdn)
-        return ext
-
     @property
     def n(self) -> int:
         return len(self.hup)
@@ -241,8 +238,8 @@ class StructureBundle:
     """A semiquandle with optional singular and virtual extensions.
 
     An absent extension is semantically the trivial one (hup = hdn =
-    projection to the first argument, v = identity), but the raw hat / v
-    operations are only evaluable when the extension is actually present.
+    projection to the first argument, v = identity), but `ops` holds the
+    hat / v operations only when the extension is actually present.
     """
 
     table: SemiquandleTable
@@ -315,8 +312,13 @@ class StructureBundle:
         (hup = hdn = projection to the first argument) satisfies the hat
         axioms only on some tables (among the builtins, only on `ts3_v13`,
         whose up and dn agree), so a bundle whose table rejects it stays
-        without a singular extension.
+        without a singular extension.  The lifted bundle is built once and
+        kept, as `ops` is, so its solver tables are kept too.
         """
+        return self._lifted
+
+    @cached_property
+    def _lifted(self) -> "StructureBundle":
         singular = self.singular
         if singular is None:
             try:
@@ -327,31 +329,8 @@ class StructureBundle:
         return StructureBundle(self.table, singular, virtual)
 
 
-# the extension that carries each optional operation
-EXTENSION_OF = {"hup": "singular", "hdn": "singular",
-                "v": "virtual", "v_inv": "virtual"}
-
-
-def evaluate(bundle: StructureBundle, op: str, x: int, y: Optional[int] = None) -> int:
-    """Evaluate one operation of the bundle at (x, y), or at x for v ops.
-
-    A checked, 1-based view of `bundle.ops`.  up_inv / dn_inv are the
-    column inverses guaranteed by axiom 0:
-    evaluate(b, 'up_inv', evaluate(b, 'up', x, y), y) == x.
-    """
-    n = bundle.n
-    if not 1 <= x <= n or (y is not None and not 1 <= y <= n):
-        raise ValueError(f"element out of range 1..{n}")
-    table = bundle.ops.get(op)
-    if table is None:
-        if op in EXTENSION_OF:
-            raise OperationUnavailable(f"bundle has no {EXTENSION_OF[op]} extension")
-        raise ValueError(f"unknown operation {op!r}")
-    if op in ("v", "v_inv"):
-        return table[x - 1] + 1
-    if y is None:
-        raise ValueError(f"operation {op!r} is binary")
-    return table[x - 1][y - 1] + 1
+# the extension that carries each optional relation kind
+EXTENSION_OF = {"hup": "singular", "hdn": "singular", "v": "virtual"}
 
 
 def _binary_tables(ops: Mapping[str, tuple]) -> list:

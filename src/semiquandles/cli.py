@@ -169,7 +169,7 @@ def _cmd_auto(args) -> int:
         raise UsageError("auto requires --table (file or builtin bundle name)")
     bundle = _load_bundle(args.table)
     autos = automorphisms(bundle)
-    classes = enumerate_virtual_structures(bundle, up_to_conjugacy=True)
+    classes = enumerate_virtual_structures(bundle)
     report = {"n": bundle.n,
               "automorphisms": [list(a) for a in autos],
               "conjugacy_class_representatives": [list(c) for c in classes]}

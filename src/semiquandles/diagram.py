@@ -85,18 +85,6 @@ class PassCode:
     def semiarc_count(self) -> int:
         return sum(max(len(c), 1) for c in self.components)
 
-    def normalize(self) -> "PassCode":
-        """Rotate each component to its lexicographically least sequence and
-        sort components, giving a structural normal form."""
-        comps = []
-        for comp in self.components:
-            if not comp:
-                comps.append(comp)
-                continue
-            rotations = [comp[i:] + comp[:i] for i in range(len(comp))]
-            comps.append(min(rotations))
-        return PassCode(tuple(sorted(comps)))
-
     def text(self) -> str:
         return "".join(map(component_text, self.components))
 

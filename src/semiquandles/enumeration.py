@@ -5,7 +5,10 @@ axiom is written, by evaluating its predicates.  Semiquandles of order n
 are found by a depth-first search that sets the columns of the up table
 to permutations (axiom 0 demands exactly that), reads the dn table
 through axiom ii, checks each axiom instance on the partial tables as
-soon as every entry it reads is known, and checks the survivors in full.
+soon as every entry it reads is known, and of each survivor checks only
+that the columns of dn are permutations, the one axiom not yet proved.
+Both searches build what they yield without the checks of the public
+constructors (`algebra._trusted`).
 Singular extensions are found by backtracking over the cells of hup in
 row-major order, values ascending, with hdn derived from axiom hi.a.
 Each instance of the other hat axioms is compiled once, by evaluating
@@ -25,10 +28,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .algebra import (_FLAT_AXIOMS, _HAT_AXIOMS, AxiomError,
-                      ResourceBudgetExceeded, SemiquandleTable,
-                      SingularExtension, StructureBundle, automorphisms,
-                      perm_compose, perm_inverse)
+from .algebra import (_FLAT_AXIOMS, _HAT_AXIOMS, ResourceBudgetExceeded,
+                      SemiquandleTable, SingularExtension, StructureBundle,
+                      _trusted, automorphisms, perm_compose, perm_inverse)
 
 # enumerate_semiquandles builds 3n^3 + 2n^2 axiom checks before its first node
 MAX_ORDER = 16
@@ -134,13 +136,14 @@ def enumerate_semiquandles(n: int, up_to_iso: bool = False,
     through axiom ii, so dn[a][b] is known once columns a and up[b][a]
     are set.  Each instance of the axioms is checked once every entry it
     reads is known, and a failing one prunes every candidate below the
-    column just set; each candidate that reaches the last column is
-    checked in full.  One node is one candidate column tuple, counted
-    against the budget whether it is checked or pruned with its block,
-    so the budget is exceeded at the same candidate, with the same
-    tables yielded, as when every candidate is checked.  With up_to_iso,
-    one representative per isomorphism class is yielded (the first in
-    enumeration order).
+    column just set.  A candidate that reaches the last column has
+    passed every instance, and ii.a holds by the derivation of dn, so it
+    is kept when the columns of dn are permutations (axiom 0).  One node
+    is one candidate column tuple, counted against the budget whether it
+    is checked or pruned with its block, so the budget is exceeded at the
+    same candidate, with the same tables yielded, as when every candidate
+    is checked.  With up_to_iso, one representative per isomorphism class
+    is yielded (the first in enumeration order).
     """
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be from 1 to {MAX_ORDER}, got {n}")
@@ -195,13 +198,14 @@ def enumerate_semiquandles(n: int, up_to_iso: bool = False,
             raise ResourceBudgetExceeded(max(node_budget, 0) + 1, found)
         if not holds:
             continue
-        up_rows = tuple(tuple(v + 1 for v in row) for row in up)
         dn_rows = tuple(tuple(dn[a][b] + 1 for b in range(n))
                         for a in range(n))
-        try:
-            table = SemiquandleTable(up_rows, dn_rows)
-        except AxiomError:
+        # axiom 0 for dn is the one left: up's holds by construction, ii.a
+        # by the derivation of dn, and every other instance has held
+        if any(len(set(column)) < n for column in zip(*dn_rows)):
             continue
+        up_rows = tuple(tuple(v + 1 for v in row) for row in up)
+        table = _trusted(SemiquandleTable, up=up_rows, dn=dn_rows)
         if up_to_iso:
             key = CanonicalForm.of(table)
             if key in seen:
@@ -359,16 +363,13 @@ def enumerate_singular_extensions(table: SemiquandleTable,
                 c += 1
                 continue
             found += 1
-            yield SingularExtension._from_frozen(tuple(rows[:n]), tuple(rows[n:]))
+            yield _trusted(SingularExtension, hup=tuple(rows[:n]), hdn=tuple(rows[n:]))
 
 
-def enumerate_virtual_structures(bundle: StructureBundle,
-                                 up_to_conjugacy: bool = False) -> list:
-    """Automorphisms of the bundle, optionally one per conjugacy class
-    of the automorphism group (the distinct virtual structures)."""
+def enumerate_virtual_structures(bundle: StructureBundle) -> list:
+    """The distinct virtual structures of the bundle: the least member of
+    each conjugacy class of its automorphism group."""
     autos = automorphisms(bundle)
-    if not up_to_conjugacy:
-        return autos
     reps = []
     seen = set()
     for a in autos:

@@ -7,10 +7,10 @@ import pytest
 
 from semiquandles.algebra import (
     _FLAT_AXIOMS, _HAT_AXIOMS,
-    AxiomError, StructureError, OperationUnavailable,
+    AxiomError, StructureError,
     SemiquandleTable, SingularExtension, VirtualExtension, StructureBundle,
     check_semiquandle, check_singular, check_virtual,
-    evaluate, subclosure, automorphisms,
+    subclosure, automorphisms,
     make_constant_action, make_operator_singular, make_flat_singular,
     trivial_singular, identity_perm, perm_from_cycles, perm_inverse, perm_compose,
     format_table_text, parse_table_text, builtin_bundle, BUILTIN_BUNDLES,
@@ -175,18 +175,6 @@ def test_table_rejects_non_permutation_columns():
         SemiquandleTable(((1, 1), (1, 1)), ((1, 2), (2, 1)))
 
 
-def test_evaluate_round_trips_inverses():
-    for x in range(1, 5):
-        for y in range(1, 5):
-            up = evaluate(T4, "up", x, y)
-            assert evaluate(T4, "up_inv", up, y) == x
-            dn = evaluate(T4, "dn", x, y)
-            assert evaluate(T4, "dn_inv", dn, y) == x
-    for x in range(1, 4):
-        v = evaluate(TS3, "v", x)
-        assert evaluate(TS3, "v_inv", v) == x
-
-
 def test_compiled_operations_are_zero_based_tables_of_present_extensions():
     for name in BUILTIN_BUNDLES:
         b = builtin_bundle(name)
@@ -209,19 +197,12 @@ def test_compiled_operations_are_zero_based_tables_of_present_extensions():
             assert all(inv[t[x][y]][y] == x for x in range(b.n) for y in range(b.n))
 
 
-def test_evaluate_raises_for_absent_extensions():
-    with pytest.raises(OperationUnavailable):
-        evaluate(T4, "hup", 1, 1)
-    with pytest.raises(OperationUnavailable):
-        evaluate(T4, "v", 1)
-
-
 def test_subclosure_is_closed_and_minimal():
     sub = subclosure(T4S, {1})
     for x in sub:
         for y in sub:
             for op in ("up", "dn", "hup", "hdn"):
-                assert evaluate(T4S, op, x, y) in sub
+                assert T4S.ops[op][x - 1][y - 1] + 1 in sub
     assert 1 in sub
 
 
@@ -267,3 +248,9 @@ def test_with_trivial_extensions_validates():
     assert lifted.table == T4.table
     # a present extension is kept as it is
     assert T4S.with_trivial_extensions().singular == T4S.singular
+
+
+def test_with_trivial_extensions_is_built_once():
+    for name in BUILTIN_BUNDLES:
+        b = builtin_bundle(name)
+        assert b.with_trivial_extensions() is b.with_trivial_extensions()

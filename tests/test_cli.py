@@ -147,6 +147,24 @@ def test_enumerate_order4_iso_classes(capsys):
     assert rc == 0 and json.loads(out)["count"] == 23
 
 
+# SHA-256 of `enumerate --n 4` stdout, keyed by (--iso, --json): the
+# search must keep yielding the same tables in the same order
+ENUMERATE_4_SHA256 = {
+    (False, False): "a40d95b46b99110e51dbc03afb7974de30371aba9fc2d3d8d183ffd64b0bb36e",
+    (True, False): "682694f8fa08fea6a1d544e448896554d86dafd8e3a139c1dab89b1878ada2e3",
+    (False, True): "24bb783d303da77e12cb7e587dfe3f64b01add5d5a505cd74813bfe1abddc723",
+    (True, True): "e8b4fe8d0cba28a3d0d5fbf82c48b0ff9d2b9502caeefa60e6d7d2188fb15a86",
+}
+
+
+@pytest.mark.parametrize("iso, as_json", sorted(ENUMERATE_4_SHA256))
+def test_enumerate_order_4_stdout_is_pinned(capsys, iso, as_json):
+    argv = ["enumerate", "--n", "4"] + ["--iso"] * iso + ["--json"] * as_json
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_4_SHA256[iso, as_json]
+
+
 def test_enumerate_large_order_reaches_its_budget(capsys):
     # the candidate columns are generated one at a time: listing the 12!
     # permutations first would exhaust memory before the first node

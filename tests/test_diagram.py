@@ -36,12 +36,6 @@ def test_parse_rejects_bad_occurrences():
         parse_code("bad line\n")
 
 
-def test_normalize_is_rotation_and_order_invariant():
-    a = parse_code("comp: S1.sup F1.sub S1.sub F1.sup\n")
-    b = parse_code("comp: F1.sub S1.sub F1.sup S1.sup\n")   # rotated
-    assert a.normalize() == b.normalize()
-
-
 def test_extract_relations_counts():
     # c flat+singular crossings and w virtual passes give 2c + w
     # relations and 2c + w generators
@@ -140,7 +134,7 @@ def test_glue_at_marks_one_crossing_singular():
 
 def test_glue_kink_of_unknot_is_the_singular_kink():
     out = glue_kink(parse_code("comp:\n"))
-    assert out.normalize() == builtin_code("singular_unknot_1").normalize()
+    assert out == builtin_code("singular_unknot_1")
 
 
 def test_glue_kink_validated_by_nine_colorings():

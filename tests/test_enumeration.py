@@ -93,17 +93,22 @@ def test_order4_tables_and_classes():
     assert set(keys) == {CanonicalForm.of(t) for t in tables}
 
 
-def test_only_candidates_that_pass_every_partial_check_are_checked_in_full(monkeypatch):
-    # the brute force checks all 216 candidates of order 3; the search
-    # leaves the full check to the SemiquandleTable constructor
+def test_the_searches_call_no_checker(monkeypatch):
+    # the brute force checks all 216 candidates of order 3; the searches
+    # prove what they yield and build it without the checking constructors
     calls = []
-
-    def counting(up, dn):
-        calls.append(up)
-        return check_semiquandle(up, dn)
-    monkeypatch.setattr(algebra, "check_semiquandle", counting)
-    assert len(list(enumerate_semiquandles(3))) == 12
-    assert len(calls) <= 24
+    for name in ("check_semiquandle", "check_singular", "check_virtual"):
+        checker = getattr(algebra, name)
+        monkeypatch.setattr(algebra, name,
+                            lambda *a, c=checker: calls.append(a) or c(*a))
+    tables = list(enumerate_semiquandles(3))
+    assert len(tables) == 12
+    assert len(list(enumerate_semiquandles(3, up_to_iso=True))) == 5
+    assert sum(1 for t in tables for _ in enumerate_singular_extensions(t)) > 0
+    assert calls == []
+    # the public constructor still checks, through the patched checker
+    SemiquandleTable(tables[0].up, tables[0].dn)
+    assert len(calls) == 1
 
 
 def test_order3_contains_all_constant_action_tables():
@@ -296,10 +301,10 @@ def test_singular_extension_budget_reports_progress():
 
 def test_virtual_structures_are_automorphisms():
     b = builtin_bundle("t4_sing")
-    autos = enumerate_virtual_structures(b)
+    autos = automorphisms(b)
     assert (1, 2, 3, 4) in autos
     assert (3, 4, 1, 2) in autos
-    reps = enumerate_virtual_structures(b, up_to_conjugacy=True)
+    reps = enumerate_virtual_structures(b)
     assert set(reps) <= set(autos)
     assert (1, 2, 3, 4) in reps
 

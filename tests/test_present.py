@@ -12,8 +12,7 @@ import pytest
 
 import semiquandles.present as present
 from semiquandles.algebra import (ResourceBudgetExceeded, StructureBundle,
-                                  builtin_bundle, evaluate, parse_table_text,
-                                  subclosure)
+                                  builtin_bundle, parse_table_text, subclosure)
 from semiquandles.diagram import (_ROLES, CLASSICAL, Pass, PassCode,
                                   extract_relations, parse_code)
 from semiquandles.moves import random_code
@@ -30,15 +29,16 @@ TS3 = builtin_bundle("ts3_v13")
 
 def naive_colorings(p, bundle):
     """Independent oracle: try every assignment of 1..n to the generators."""
-    n = bundle.n
+    n, ops = bundle.n, bundle.ops
     for values in itertools.product(range(1, n + 1), repeat=len(p.generators)):
         a = dict(zip(p.generators, values))
         ok = True
         for rel in p.relations:
+            x = a[rel.args[0]] - 1
             if rel.kind == "v":
-                got = evaluate(bundle, "v", a[rel.args[0]])
+                got = ops["v"][x] + 1
             else:
-                got = evaluate(bundle, rel.kind, a[rel.args[0]], a[rel.args[1]])
+                got = ops[rel.kind][x][a[rel.args[1]] - 1] + 1
             if got != a[rel.result]:
                 ok = False
                 break
@@ -451,6 +451,35 @@ def plain_gac(tables, domains: list, n: int):
     return domains
 
 
+def memo_entries_checked(bundle) -> int:
+    """Check every filled rows and vals memo entry of the bundle's tables
+    against the relation's own rows (`present._rows`): the kept rows are
+    those that agree on each repeated label, projected to the distinct
+    labels, and row r of them in sorted order is bit 1 << r.  Returns
+    how many entries were checked."""
+    checked = 0
+    for (kinds, slot), (rows_memos, vals_memo, every) in bundle._tables.items():
+        first = [slot.index(j) for j in range(len(rows_memos))]
+        kept = sorted({tuple(row[i] for i in first)
+                       for row in present._rows(bundle.ops, kinds, bundle.n)
+                       if all(row[i] == row[first[j]] for i, j in enumerate(slot))})
+        assert every == (1 << len(kept)) - 1
+        for j, memo in enumerate(rows_memos):
+            for dom, rows in memo.items():
+                assert rows == sum(1 << r for r, row in enumerate(kept)
+                                   if dom >> row[j] & 1), (kinds, slot, j, dom)
+                checked += 1
+        for live, vals in vals_memo.items():
+            want = [0] * len(rows_memos)
+            for r, row in enumerate(kept):
+                if live >> r & 1:
+                    for j, x in enumerate(row):
+                        want[j] |= 1 << x
+            assert vals == tuple(want), (kinds, slot, live)
+            checked += 1
+    return checked
+
+
 def test_propagation_matches_plain_gac_on_random_domains():
     rng = random.Random(20261019)
     verdicts = {True: 0, False: 0}
@@ -478,6 +507,7 @@ def test_propagation_matches_plain_gac_on_random_domains():
                 if ok:
                     assert domains == expected
                 verdicts[ok] += 1
+        assert memo_entries_checked(bundle) >= 100
     assert min(verdicts.values()) >= 100, verdicts
 
 
