@@ -173,23 +173,12 @@ def check_singular(up, dn, hup, hdn) -> list:
 def check_virtual(up, dn, v, hup=None, hdn=None) -> list:
     """Report failures of v to be an automorphism of all present operations."""
     n = len(up)
-    report = []
     if len(v) != n or sorted(v) != list(range(1, n + 1)):
-        report.append(Violation("structure", ("v", "not-a-permutation")))
-        return report
-    r = range(n)
-    for x in r:
-        for y in r:
-            vx, vy = v[x] - 1, v[y] - 1
-            if v[up[x][y] - 1] != up[vx][vy]:
-                report.append(Violation("v.up", (x + 1, y + 1)))
-            if v[dn[x][y] - 1] != dn[vx][vy]:
-                report.append(Violation("v.dn", (x + 1, y + 1)))
-            if hup is not None and v[hup[x][y] - 1] != hup[vx][vy]:
-                report.append(Violation("v.hup", (x + 1, y + 1)))
-            if hdn is not None and v[hdn[x][y] - 1] != hdn[vx][vy]:
-                report.append(Violation("v.hdn", (x + 1, y + 1)))
-    return sorted(report)
+        return [Violation("structure", ("v", "not-a-permutation"))]
+    named = [(name, t) for name, t in zip(("up", "dn", "hup", "hdn"), (up, dn, hup, hdn))
+             if t is not None]
+    moved = _moved([_zero_based(t) for _, t in named], tuple(x - 1 for x in v))
+    return sorted(Violation(f"v.{named[k][0]}", (x + 1, y + 1)) for k, x, y in moved)
 
 
 @dataclass(frozen=True)
@@ -367,25 +356,37 @@ def subclosure(bundle: StructureBundle, seed: Iterable[int]) -> frozenset:
     return frozenset(x + 1 for x in closed)
 
 
+def _relabeled(t, phi) -> tuple:
+    """The 0-based table or map t carried along the 0-based permutation
+    phi: entry (phi x, phi y) of a table becomes phi(t[x][y]), and entry
+    phi x of a map becomes phi(t[x])."""
+    inv = [0] * len(phi)
+    for x, image in enumerate(phi):
+        inv[image] = x
+    if isinstance(t[0], int):
+        return tuple(phi[t[x]] for x in inv)
+    return tuple(tuple(phi[row[y]] for y in inv) for row in (t[x] for x in inv))
+
+
+def _moved(tables, phi):
+    """Lazily, each (k, x, y) at which the 0-based permutation phi does
+    not carry the 0-based table tables[k] onto itself:
+    phi(t[x][y]) != t[phi x][phi y]."""
+    r = range(len(phi))
+    return ((k, x, y) for k, t in enumerate(tables) for x in r for y in r
+            if phi[t[x][y]] != t[phi[x]][phi[y]])
+
+
 def automorphisms(bundle: StructureBundle) -> list:
     """All permutations preserving every operation of the bundle, sorted.
 
     Brute force over S_n; orders of interest are at most 6.
     """
-    n = bundle.n
     tables = _binary_tables(bundle.ops)
     v = bundle.ops.get("v")
-    found = []
-    for images in itertools.permutations(range(n)):
-        ok = all(
-            images[t[x][y]] == t[images[x]][images[y]]
-            for t in tables for x in range(n) for y in range(n)
-        )
-        if ok and v is not None:
-            ok = all(images[v[x]] == v[images[x]] for x in range(n))
-        if ok:
-            found.append(tuple(x + 1 for x in images))
-    return found
+    return [tuple(x + 1 for x in phi) for phi in itertools.permutations(range(bundle.n))
+            if next(_moved(tables, phi), None) is None
+            and (v is None or _relabeled(v, phi) == v)]
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +427,6 @@ def perm_inverse(p: Sequence[int]) -> tuple:
     for i, img in enumerate(p):
         inv[img - 1] = i + 1
     return tuple(inv)
-
-
-def perm_compose(p: Sequence[int], q: Sequence[int]) -> tuple:
-    """Composition: (p * q)(x) = p(q(x))."""
-    return tuple(p[q[i] - 1] for i in range(len(p)))
 
 
 def make_constant_action(n: int, sigma: Sequence[int]) -> SemiquandleTable:

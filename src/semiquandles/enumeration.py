@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .algebra import (_FLAT_AXIOMS, _HAT_AXIOMS, ResourceBudgetExceeded,
                       SemiquandleTable, SingularExtension, StructureBundle,
-                      _trusted, automorphisms, perm_compose, perm_inverse)
+                      _relabeled, _trusted, _zero_based, automorphisms)
 
 # enumerate_semiquandles builds 3n^3 + 2n^2 axiom checks before its first node
 MAX_ORDER = 16
@@ -38,7 +38,8 @@ MAX_ORDER = 16
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Lexicographically least simultaneous relabeling of a table pair.
+    """Lexicographically least simultaneous relabeling of a table pair,
+    as 0-based tables.
 
     Two structures are isomorphic exactly when their canonical forms are
     equal; computed by minimum over all n! relabelings, which is fine at
@@ -50,19 +51,9 @@ class CanonicalForm:
 
     @classmethod
     def of(cls, table: SemiquandleTable) -> "CanonicalForm":
-        n = table.n
-        best = None
-        for phi in itertools.permutations(range(1, n + 1)):
-            inv = perm_inverse(phi)
-            relabeled = tuple(
-                tuple(
-                    tuple(phi[t[inv[x] - 1][inv[y] - 1] - 1]
-                          for y in range(n))
-                    for x in range(n))
-                for t in (table.up, table.dn))
-            if best is None or relabeled < best:
-                best = relabeled
-        return cls(*best)
+        up, dn = _zero_based(table.up), _zero_based(table.dn)
+        return cls(*min((_relabeled(up, phi), _relabeled(dn, phi))
+                        for phi in itertools.permutations(range(table.n))))
 
 
 def _instances(axioms, n: int):
@@ -368,14 +359,15 @@ def enumerate_singular_extensions(table: SemiquandleTable,
 
 def enumerate_virtual_structures(bundle: StructureBundle) -> list:
     """The distinct virtual structures of the bundle: the least member of
-    each conjugacy class of its automorphism group."""
-    autos = automorphisms(bundle)
-    reps = []
-    seen = set()
+    each conjugacy class of its automorphism group, sorted.  Conjugating
+    a by g relabels a along g.  The automorphisms come sorted, so the
+    first of a class met is its least, and each class is listed once:
+    taking the least over the group for every member instead costs
+    |Aut|^2 relabelings, 25 million on the order-7 projection table."""
+    autos = [tuple(x - 1 for x in a) for a in automorphisms(bundle)]
+    reps, seen = [], set()
     for a in autos:
-        if a in seen:
-            continue
-        cls = {perm_compose(g, perm_compose(a, perm_inverse(g))) for g in autos}
-        seen |= cls
-        reps.append(min(cls))
+        if a not in seen:
+            seen.update(_relabeled(a, g) for g in autos)
+            reps.append(tuple(x + 1 for x in a))
     return reps

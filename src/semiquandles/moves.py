@@ -429,11 +429,23 @@ def canonical(code: PassCode) -> PassCode:
     reaches the least line.  The numbering turns a line back into the
     passes it came from, so two kept states never coincide, and empty
     components, which are all alike, are set aside first.  Only partial
-    labelings that tie survive: a code with little symmetry keeps a state
-    or two, while k components that differ only in crossing names (k
-    disjoint kinks, say) tie in every order and keep up to k! states.
+    labelings that tie survive, and a code with little symmetry keeps a
+    state or two.  A component is closed when it shares no crossing with
+    another.  Two closed components with the same canonical form are
+    twins: swapping them is an automorphism of the code, so a twin is
+    tried only once the twin before it is used, and k disjoint kinks
+    keep one state, not k!.  Components that are symmetric but linked,
+    such as k copies of a two-component link, still tie in every order.
     """
     comps = [c for c in sorted(code.components, key=len) if c]
+    # a crossing has two passes, so a component holding both passes of
+    # each of its crossings is closed; a lone closed component has no
+    # twin, and keying it would recurse on a one-component code forever
+    closed = [j for j, c in enumerate(comps) if 2 * len({p.crossing for p in c}) == len(c)]
+    twin, last = [None] * len(comps), {}
+    for j in closed if len(closed) > 1 else ():
+        key = canonical(PassCode((comps[j],)))
+        twin[j], last[key] = last.get(key), j
     lines = [()] * (len(code.components) - len(comps))
     states = [(frozenset(), {}, {})]
     for length in map(len, comps):
@@ -441,7 +453,7 @@ def canonical(code: PassCode) -> PassCode:
         best, survivors = None, []
         for used, ids, counts in states:
             for j in block:
-                if j in used:
+                if j in used or twin[j] is not None and twin[j] not in used:
                     continue
                 comp = comps[j]
                 for r in range(length):

@@ -510,12 +510,10 @@ def builtin(name: str) -> Presentation:
     unknot, ...), and unlink(k) for the crossing-free k-component
     diagram, 0 <= k <= 999.  KeyError for any other name.
     """
-    from .diagram import builtin_code, extract_relations  # diagram imports present
+    from .diagram import builtin_code, extract_relations, unknot  # diagram imports present
 
     m = _UNLINK_RE.match(name)
-    if m:
-        return Presentation(tuple(f"a{i}" for i in range(1, int(m.group(1)) + 1)), ())
-    return extract_relations(builtin_code(name))
+    return extract_relations(unknot(int(m.group(1))) if m else builtin_code(name))
 
 
 BUILTIN_PRESENTATIONS = (

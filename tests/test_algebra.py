@@ -12,7 +12,7 @@ from semiquandles.algebra import (
     check_semiquandle, check_singular, check_virtual,
     subclosure, automorphisms,
     make_constant_action, make_operator_singular, make_flat_singular,
-    trivial_singular, identity_perm, perm_from_cycles, perm_inverse, perm_compose,
+    trivial_singular, identity_perm, perm_from_cycles, perm_inverse,
     format_table_text, parse_table_text, builtin_bundle, BUILTIN_BUNDLES,
 )
 from semiquandles.enumeration import enumerate_semiquandles
@@ -216,7 +216,9 @@ def test_automorphism_group_of_t4_sing():
 
 def test_perm_helpers():
     p = perm_from_cycles(3, [[1, 3, 2]])
-    assert perm_compose(p, perm_inverse(p)) == (1, 2, 3)
+    assert p == (3, 1, 2)
+    assert perm_inverse(p) == (2, 3, 1)
+    assert tuple(p[q - 1] for q in perm_inverse(p)) == (1, 2, 3)
 
 
 def test_table_text_round_trip():

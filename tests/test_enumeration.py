@@ -8,11 +8,12 @@ import pytest
 
 import semiquandles.algebra as algebra
 import semiquandles.enumeration as enumeration
-from semiquandles.algebra import (_HAT_AXIOMS, SemiquandleTable, StructureBundle,
-                                  automorphisms, builtin_bundle,
+from semiquandles.algebra import (_HAT_AXIOMS, BUILTIN_BUNDLES, SemiquandleTable,
+                                  StructureBundle, automorphisms, builtin_bundle,
                                   check_semiquandle, check_singular,
-                                  column_inverse, make_constant_action,
-                                  perm_inverse)
+                                  check_virtual, column_inverse,
+                                  make_constant_action, perm_inverse)
+from semiquandles.cli import main
 from semiquandles.enumeration import (
     CanonicalForm, ResourceBudgetExceeded, _hat_readers, _hat_search_plan,
     enumerate_semiquandles, enumerate_singular_extensions,
@@ -307,6 +308,52 @@ def test_virtual_structures_are_automorphisms():
     reps = enumerate_virtual_structures(b)
     assert set(reps) <= set(autos)
     assert (1, 2, 3, 4) in reps
+
+
+def test_virtual_structures_relabel_each_class_once(monkeypatch):
+    # every permutation is an automorphism of the order-6 projection
+    # table, so the classes are the 11 cycle types of S_6; listing each
+    # class once costs 11 * 720 relabelings, not 720^2
+    rows = tuple(tuple(x for _ in range(6)) for x in range(1, 7))
+    bundle = StructureBundle(SemiquandleTable(rows, rows))
+    calls = []
+    relabeled = enumeration._relabeled
+    monkeypatch.setattr(enumeration, "_relabeled",
+                        lambda *a: calls.append(a) or relabeled(*a))
+    reps = enumerate_virtual_structures(bundle)
+
+    def cycle(p, x):
+        k, y = 1, p[x - 1]
+        while y != x:
+            k, y = k + 1, p[y - 1]
+        return k
+    assert len(automorphisms(bundle)) == 720
+    assert len({tuple(sorted(cycle(p, x) for x in p)) for p in reps}) == len(reps) == 11
+    assert len(calls) == 11 * 720
+
+
+def test_table_symmetry_is_pinned(capsys):
+    # regression value of the symmetry code before it shared one
+    # relabeling and one preservation scan: the automorphisms, the
+    # virtual structures and the check_virtual report of every map of
+    # 1..n (each permutation and one of the wrong length) of the 15
+    # tables of order <= 3 and of every builtin, then the stdout of auto
+    # on every builtin, as text and as JSON
+    bundles = [StructureBundle(t) for n in (1, 2, 3) for t in enumerate_semiquandles(n)]
+    bundles += [builtin_bundle(name) for name in BUILTIN_BUNDLES]
+    digest = hashlib.sha256()
+    for b in bundles:
+        hat = (b.singular.hup, b.singular.hdn) if b.has_singular else ()
+        maps = [*itertools.permutations(range(1, b.n + 1)), (1,) * (b.n + 1)]
+        reports = [check_virtual(b.table.up, b.table.dn, v, *hat) for v in maps]
+        digest.update(repr((automorphisms(b), enumerate_virtual_structures(b),
+                            reports)).encode())
+    for name in BUILTIN_BUNDLES:
+        for extra in ([], ["--json"]):
+            assert main(["auto", "--table", name, *extra]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == (
+        "c1091d19ec7c0b6ee9aa256d94090ac31e9746862ac3df783daf7e207e26c227")
 
 
 def test_enumeration_is_deterministic():
