@@ -290,6 +290,50 @@ def test_singular_extensions_and_budget_stops_are_pinned():
         (8, 0), (1001, 664), (12346, 8228), (29001, 19332)]
 
 
+def extension_stop(table, budget):
+    """(nodes, found) where the budget stops the extension search of the
+    table, or None where the search finishes within it."""
+    try:
+        for _ in enumerate_singular_extensions(table, node_budget=budget):
+            pass
+    except ResourceBudgetExceeded as e:
+        return e.nodes, e.found
+
+
+def test_singular_extension_stops_of_order_3_classes_are_pinned():
+    # regression value of the search before its plan dropped the checks
+    # that always hold and it tried the last cell's values in one loop:
+    # the stop at every budget up to the node count of the whole search,
+    # for each order-3 class but the trivial table (pinned above)
+    classes = sorted(enumerate_semiquandles(3, up_to_iso=True), key=lambda t: (t.up, t.dn))
+    assert classes[0].up == ((1, 1, 1), (2, 2, 2), (3, 3, 3))
+    totals = (396, 861, 579, 525)
+    digest = hashlib.sha256()
+    for table, total in zip(classes[1:], totals):
+        stops = [extension_stop(table, b) for b in range(total + 1)]
+        assert stops[-2][0] == total and stops[-1] is None
+        digest.update(repr(stops).encode())
+    assert [extension_stop(t, total - 1)[1] for t, total in zip(classes[1:], totals)] == [
+        36, 81, 36, 27]
+    assert digest.hexdigest() == (
+        "8a20e8a2f1b027878aeb99b3dae8c5b3cc7bc20fdb14145fa31d4a82216cd2e6")
+
+
+def test_order_4_budget_stops_are_pinned():
+    # regression values of the column search before its checks were
+    # compiled: 24^4 candidates, of which 168 are tables
+    def stop(budget):
+        try:
+            for _ in enumerate_semiquandles(4, node_budget=budget):
+                pass
+        except ResourceBudgetExceeded as e:
+            return e.nodes, e.found
+    budgets = (0, 1, 23, 24, 575, 576, 4000, 13824, 100000, 200000, 331775, 331776)
+    assert [stop(b) for b in budgets] == [
+        (1, 0), (2, 1), (24, 6), (25, 6), (576, 16), (577, 16), (4001, 26),
+        (13825, 36), (100001, 78), (200001, 115), (331776, 167), None]
+
+
 def test_singular_extension_budget_reports_progress():
     table = make_constant_action(3, (1, 2, 3))
     yielded = 0
