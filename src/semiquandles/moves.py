@@ -196,15 +196,28 @@ def _expand_table(entries, action: str) -> dict:
 _DELETES = {_canonical_descriptor(template): (move, variant, "delete")
             for (move, variant), template in _INSERTS.items()}
 
-_REWRITES = _expand_table(_triangles(_SOUND_TRIANGLES), "swap")
-_REWRITES.update(_expand_table(_SLIDE_SIDES, "slide"))
 
-# forbidden flat-flat-virtual triangles, every role/order assignment;
-# deliberately not merged into _REWRITES
-_FORBIDDEN = _expand_table(
-    _triangles(_triangle_tokens(("FFV", "FVF", "VFF"), lambda *_: True)), "swap")
+@functools.cache
+def _rewrites() -> dict:
+    """The sound triangles and direct slides.  This table and the two
+    below are built on first use, not at import, so that a command that
+    matches no move does not pay for them."""
+    table = _expand_table(_triangles(_SOUND_TRIANGLES), "swap")
+    table.update(_expand_table(_SLIDE_SIDES, "slide"))
+    return table
 
-_REVERSE_SLIDE = _expand_table(_REVERSE_SLIDE_SIDES, "slide")
+
+@functools.cache
+def _forbidden() -> dict:
+    """The forbidden flat-flat-virtual triangles, every role/order
+    assignment; deliberately not merged into the rewrites."""
+    return _expand_table(
+        _triangles(_triangle_tokens(("FFV", "FVF", "VFF"), lambda *_: True)), "swap")
+
+
+@functools.cache
+def _reverse_slide() -> dict:
+    return _expand_table(_REVERSE_SLIDE_SIDES, "slide")
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +330,7 @@ def apply_move(code: PassCode, m: MoveSpec) -> PassCode:
     """
     if m.direction == "insert":
         return _insert(code, m)
-    table = {"delete": _DELETES, "apply": _REWRITES}.get(m.direction)
+    table = {"delete": _DELETES, "apply": _rewrites()}.get(m.direction)
     if table is None:
         raise MoveError(f"unknown direction {m.direction!r}")
     return _apply_at(code, m.site, _lookup(code, m, table))
@@ -330,7 +343,7 @@ def inverse_of(code_after: PassCode, m: MoveSpec) -> MoveSpec:
     carries its own variant tag, read back from the resulting code.
     """
     if m.direction == "apply":
-        hit = _REWRITES.get(_descriptor_at(code_after, m.site))
+        hit = _rewrites().get(_descriptor_at(code_after, m.site))
         if hit is None:
             raise MoveError(f"no rewrite pattern at {m.site} after {m.move}")
         return MoveSpec(hit[0], "apply", m.site, hit[1])
@@ -369,40 +382,41 @@ def _listed(code: PassCode, inserts: dict, deletes: dict, rewrites: dict) -> lis
 
 def applicable_moves(code: PassCode) -> list:
     """Every applicable (move, direction, site, variant), sorted."""
-    return _listed(code, _INSERTS, _DELETES, _REWRITES)
+    return _listed(code, _INSERTS, _DELETES, _rewrites())
 
 
-# the insert, delete and rewrite tables of each move id
-_TABLES_OF = {move: ({k: t for k, t in _INSERTS.items() if k[0] == move},
-                     {d: h for d, h in _DELETES.items() if h[0] == move},
-                     {d: h for d, h in _REWRITES.items() if h[0] == move})
-              for move in MOVE_IDS}
+@functools.cache
+def _tables_of(move: str) -> tuple:
+    """The insert, delete and rewrite tables of one move id."""
+    return ({k: t for k, t in _INSERTS.items() if k[0] == move},
+            {d: h for d, h in _DELETES.items() if h[0] == move},
+            {d: h for d, h in _rewrites().items() if h[0] == move})
 
 
 def _moves_of(code: PassCode, move: str) -> list:
     """The applicable moves with one move id, sorted: equal to
     `[m for m in applicable_moves(code) if m.move == move]`, at the cost
     of that move's tables only."""
-    return _listed(code, *_TABLES_OF[move])
+    return _listed(code, *_tables_of(move))
 
 
 def forbidden_sites(code: PassCode) -> list:
     """Sites where the forbidden flat-flat-virtual triangle matches."""
-    return sorted(_matches(code, _FORBIDDEN, itertools.combinations))
+    return sorted(_matches(code, _forbidden(), itertools.combinations))
 
 
 def apply_forbidden(code: PassCode, m: MoveSpec) -> PassCode:
     """Apply the forbidden move; used only to demonstrate non-invariance."""
-    return _apply_at(code, m.site, _lookup(code, m, _FORBIDDEN))
+    return _apply_at(code, m.site, _lookup(code, m, _forbidden()))
 
 
 def reverse_slide_sites(code: PassCode) -> list:
     """Sites of the reverse singular R2 (a derived move, not catalog)."""
-    return sorted(_matches(code, _REVERSE_SLIDE, itertools.combinations))
+    return sorted(_matches(code, _reverse_slide(), itertools.combinations))
 
 
 def apply_reverse_slide(code: PassCode, m: MoveSpec) -> PassCode:
-    return _apply_at(code, m.site, _lookup(code, m, _REVERSE_SLIDE))
+    return _apply_at(code, m.site, _lookup(code, m, _reverse_slide()))
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +546,7 @@ def _decorate(code: PassCode, rng: random.Random, kinds: str) -> PassCode:
 def _rewrite_pool(move: str, kinds: str) -> tuple:
     """The sorted (descriptor, variant) rewrites of a move id whose
     crossings all have kinds in `kinds`."""
-    return tuple(sorted((d, v) for d, (_, v, _) in _TABLES_OF[move][2].items()
+    return tuple(sorted((d, v) for d, (_, v, _) in _tables_of(move)[2].items()
                         if all(kind in kinds for seg in d for _, kind, _ in seg)))
 
 

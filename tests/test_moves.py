@@ -5,12 +5,17 @@ forbidden move."""
 import functools
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import semiquandles.moves as moves
 from semiquandles.algebra import (StructureBundle, VirtualExtension,
                                   builtin_bundle, make_flat_singular)
 from semiquandles.diagram import Pass, PassCode, parse_code, extract_relations
@@ -591,3 +596,33 @@ def test_forbidden_move_is_not_in_the_catalog():
         assert m.move == "forbidden"
         with pytest.raises(MoveError):
             apply_move(FORBIDDEN_WITNESS, m)
+
+
+def test_move_tables_are_pinned():
+    # regression values of the tables from when they were built at
+    # import: a SHA-256 over each table's sorted items
+    def digest(items):
+        return hashlib.sha256(repr(sorted(items)).encode()).hexdigest()
+    assert digest(moves._rewrites().items()) == (
+        "a479bcae17e26c4b8c5344feeefe18045a84abc5a262561372190c3b0ec2106c")
+    assert digest(moves._forbidden().items()) == (
+        "d9126788332d3adba930df8b37dda3f4cee4e23e8c9a783e2e66cdcf67baf9c4")
+    assert digest(moves._reverse_slide().items()) == (
+        "8416828c62536adc2a0663cf013782f535042a197dc0b64b1c334e72c64595de")
+    assert digest(moves._DELETES.items()) == (
+        "92f64c5ad59ac70b0bc04f1b837762c54dbdcc525998f9b36f4383cdd009c886")
+    assert digest((m, tuple(sorted(t.items()) for t in moves._tables_of(m)))
+                  for m in MOVE_IDS) == (
+        "fb5323da30263e2e2cf305a89b72806ab7958ea53a8fa8122e57090f2170a469")
+
+
+def test_importing_the_cli_builds_no_move_table():
+    # a fresh interpreter, since this one has built them
+    src = str(Path(moves.__file__).resolve().parent.parent)
+    probe = ("import semiquandles.cli, semiquandles.moves as m; "
+             "print([f.cache_info().currsize for f in "
+             "(m._rewrites, m._forbidden, m._reverse_slide, m._tables_of)])")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0, 0]\n"
