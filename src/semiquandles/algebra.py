@@ -377,16 +377,22 @@ def _moved(tables, phi):
             if phi[t[x][y]] != t[phi[x]][phi[y]])
 
 
-def automorphisms(bundle: StructureBundle) -> list:
+def automorphisms(bundle: StructureBundle, node_budget: int = 100_000) -> list:
     """All permutations preserving every operation of the bundle, sorted.
 
-    Brute force over S_n; orders of interest are at most 6.
+    Brute force over S_n, one node per permutation tried, counted against
+    the budget; the default covers every order up to 8 (8! = 40,320).
     """
     tables = _binary_tables(bundle.ops)
     v = bundle.ops.get("v")
-    return [tuple(x + 1 for x in phi) for phi in itertools.permutations(range(bundle.n))
-            if next(_moved(tables, phi), None) is None
-            and (v is None or _relabeled(v, phi) == v)]
+    found = []
+    for nodes, phi in enumerate(itertools.permutations(range(bundle.n)), 1):
+        if nodes > node_budget:
+            raise ResourceBudgetExceeded(nodes, len(found), "automorphisms")
+        if (next(_moved(tables, phi), None) is None
+                and (v is None or _relabeled(v, phi) == v)):
+            found.append(tuple(x + 1 for x in phi))
+    return found
 
 
 # ---------------------------------------------------------------------------

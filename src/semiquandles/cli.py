@@ -168,8 +168,9 @@ def _cmd_auto(args) -> int:
     if not args.table:
         raise UsageError("auto requires --table (file or builtin bundle name)")
     bundle = _load_bundle(args.table)
-    autos = automorphisms(bundle)
-    classes = enumerate_virtual_structures(bundle)
+    budget = _budget(args)
+    autos = automorphisms(bundle, **budget)
+    classes = enumerate_virtual_structures(bundle, **budget)
     report = {"n": bundle.n,
               "automorphisms": [list(a) for a in autos],
               "conjugacy_class_representatives": [list(c) for c in classes]}
@@ -251,7 +252,7 @@ _VERBS = {
               "counting invariant of a presentation over a bundle"),
     "poly": (lambda a: _cmd_invariant(a, full=True), _INVARIANT,
              "enhanced polynomial invariant"),
-    "auto": (_cmd_auto, "--table --json",
+    "auto": (_cmd_auto, "--table --budget --json",
              "automorphisms and conjugacy classes of a bundle"),
     "moves-test": (_cmd_moves_test, "--trials --seed --json",
                    "randomized move-invariance suite"),

@@ -357,14 +357,16 @@ def enumerate_singular_extensions(table: SemiquandleTable,
             yield _trusted(SingularExtension, hup=tuple(rows[:n]), hdn=tuple(rows[n:]))
 
 
-def enumerate_virtual_structures(bundle: StructureBundle) -> list:
+def enumerate_virtual_structures(bundle: StructureBundle,
+                                 node_budget: int = 100_000) -> list:
     """The distinct virtual structures of the bundle: the least member of
     each conjugacy class of its automorphism group, sorted.  Conjugating
     a by g relabels a along g.  The automorphisms come sorted, so the
     first of a class met is its least, and each class is listed once:
     taking the least over the group for every member instead costs
-    |Aut|^2 relabelings, 25 million on the order-7 projection table."""
-    autos = [tuple(x - 1 for x in a) for a in automorphisms(bundle)]
+    |Aut|^2 relabelings, 25 million on the order-7 projection table.
+    The budget bounds the search for the automorphisms."""
+    autos = [tuple(x - 1 for x in a) for a in automorphisms(bundle, node_budget)]
     reps, seen = [], set()
     for a in autos:
         if a not in seen:

@@ -309,6 +309,22 @@ def test_auto_reports_automorphisms_and_classes(capsys):
     assert [1, 2, 3, 4] in report["conjugacy_class_representatives"]
 
 
+def test_auto_budget_exhaustion_exits_3(tmp_path, capsys):
+    # every permutation preserves the order-8 projection table, so a
+    # budget of 1000 permutations stops with 1000 automorphisms found
+    rows = "\n".join(" ".join([str(x)] * 8) for x in range(1, 9))
+    path = tmp_path / "projection8.table"
+    path.write_text(f"semiquandle 8\n{rows}\n\n{rows}\n")
+    rc, out, err = run(capsys, "auto", "--table", str(path), "--budget", "1000")
+    assert rc == 3 and out == ""
+    assert err == "budget exceeded: stopped after 1001 nodes (1000 automorphisms found)\n"
+    # t4 has 24 permutations to try: a budget of exactly that many suffices
+    assert run(capsys, "auto", "--table", "t4", "--budget", "24")[0] == 0
+    assert run(capsys, "auto", "--table", "t4", "--budget", "23")[0] == 3
+    rc, out, err = run(capsys, "auto", "--table", "t4", "--budget", "-1")
+    assert rc == 1 and out == "" and "--budget must be at least 0" in err
+
+
 # ---------------------------------------------------------------------------
 # moves-test
 
@@ -456,7 +472,7 @@ def test_each_verb_registers_only_the_options_it_reads():
         "enumerate": {"--n", "--iso", "--budget", "--jobs", "--json"},
         "count": invariant,
         "poly": invariant,
-        "auto": {"--table", "--json"},
+        "auto": {"--table", "--budget", "--json"},
         "moves-test": {"--trials", "--seed", "--json"},
         "vassiliev": {"--k1", "--k2", "--probes", "--budget"},
     }
