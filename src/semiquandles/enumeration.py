@@ -1,24 +1,27 @@
 """Exhaustive enumeration of semiquandles and their extensions.
 
 Both searches check the axiom catalog of `algebra`, the one place each
-axiom is written, by evaluating its predicates.  Semiquandles of order n
-are found by a depth-first search that sets the columns of the up table
-to permutations (axiom 0 demands exactly that), reads the dn table
-through axiom ii, checks each axiom instance on the partial tables as
-soon as every entry it reads is known, and of each survivor checks only
-that the columns of dn are permutations, the one axiom not yet proved.
-Both searches build what they yield without the checks of the public
-constructors (`algebra._trusted`).
+axiom is written, by compiling its predicates through one symbolic
+evaluation.  Semiquandles of order n are found by a depth-first search
+that sets the columns of the up table to permutations (axiom 0 demands
+exactly that), keeps the dn table read through axiom ii, checks each
+axiom instance on the partial tables as soon as every entry it reads is
+known, and of each survivor checks only that the columns of dn are
+permutations, the one axiom not yet proved.  Each axiom is one generated
+function, over tables that hold a padding value where an entry is not
+known yet.  Both searches build what they yield without the checks of
+the public constructors.
 Singular extensions are found by backtracking over the cells of hup in
 row-major order, values ascending, with hdn derived from axiom hi.a.
 Each instance of the other hat axioms is compiled once, by evaluating
 its predicate over symbolic tables, into a comparison of two entries of
-constant matrices read at entries of one flat state, and is checked in
-one loop as soon as the last hup cell it reads is set.  Both searches
-carry an explicit node budget (one candidate column tuple for
-semiquandles, a pruned block counting one per candidate in it; one value
-tried in one hup cell for extensions); exceeding it raises instead of
-truncating silently.
+constant matrices read at entries of one flat state.  A check that
+reads at most two cells and holds at every value of them is dropped;
+every other is checked in one loop as soon as the last hup cell it reads
+is set.  Both searches carry an explicit node budget (one candidate
+column tuple for semiquandles, a pruned block counting one per candidate
+in it; one value tried in one hup cell for extensions); exceeding it
+raises instead of truncating silently.
 """
 
 from __future__ import annotations
@@ -67,54 +70,60 @@ def _instances(axioms, n: int):
                 yield wait, holds, witness
 
 
-class _Blocked(Exception):
-    """An axiom instance used an entry of a column of up that is not set
-    yet."""
+class _Term:
+    """A value of a flat axiom at compile time: the source text of an
+    expression over the witness and the locals of the generated check.
+    Comparing two gives the text of the comparison."""
 
-    def __init__(self, column: int):
-        self.column = column
+    __slots__ = ("text",)
 
+    def __init__(self, text: str):
+        self.text = text
 
-class _Unset:
-    """An entry of up in a column c the search has not set, or column c
-    of up's inverse: reading an entry of it, using it as an index or
-    comparing it raises _Blocked(c)."""
+    def __eq__(self, other):
+        return _Term(f"({self.text} == {other.text})")
 
-    __slots__ = ("column",)
-
-    def __init__(self, column: int):
-        self.column = column
-
-    def __index__(self, *_):
-        raise _Blocked(self.column)
-
-    __getitem__ = __eq__ = __index__
+    __hash__ = None
 
 
-class _DnRow:
-    """Row a of dn, read through axiom ii: dn[a][b] is the row of column
-    up[b][a] that holds a."""
+class _TermTable:
+    """up or dn at compile time, or one row of it: reading an entry adds
+    the line that reads it to the generated check, once per distinct
+    read, and gives the local that holds it.  used collects the locals
+    read as an index."""
 
-    __slots__ = ("up", "invs", "a")
+    __slots__ = ("reads", "used", "name", "row")
 
-    def __init__(self, up: list, invs: list, a: int):
-        self.up, self.invs, self.a = up, invs, a
+    def __init__(self, reads: dict, used: set, name: str, row=None):
+        self.reads, self.used, self.name, self.row = reads, used, name, row
 
-    def __getitem__(self, b):
-        return self.invs[self.up[b][self.a]][self.a]
+    def __getitem__(self, key):
+        if self.row is None:
+            return _TermTable(self.reads, self.used, self.name, key)
+        self.used.update((self.row.text, key.text))
+        read = f"{self.name}[{self.row.text}][{key.text}]"
+        return _Term(self.reads.setdefault(read, f"r{len(self.reads)}"))
 
 
-def _checks_hold(waiting: list, column: int) -> bool:
-    """Run the checks waiting on the column just set, in order, and
-    return False at the first that fails.  A check that uses an entry of
-    a column still unset waits on that column instead."""
-    for check in waiting[column]:
-        try:
-            if not check():
-                return False
-        except _Blocked as e:
-            waiting[e.column].append(check)
-    return True
+@functools.cache
+def _column_check(holds, arity: int):
+    """The flat axiom holds(up, dn, *witness) as one generated function
+    of (up, dn, u, *witness), over tables padded with an unknown value u:
+    it returns None when an entry it reads is u, else whether the
+    instance holds.  One evaluation over _TermTable lists the reads; since
+    row u and column u of both tables hold u in every entry, an unknown
+    read makes every read that uses it u too, so only the reads no other
+    read uses are tested."""
+    reads, used = {}, set()
+    witness = [_Term(v) for v in "xyz"[:arity]]
+    test = holds(_TermTable(reads, used, "up"), _TermTable(reads, used, "dn"), *witness)
+    outer = " or ".join(f"{v} == u" for v in reads.values() if v not in used)
+    lines = [f"def check(up, dn, u, {', '.join(w.text for w in witness)}):",
+             *(f"    {v} = {read}" for read, v in reads.items()),
+             f"    if {outer}:", "        return None", f"    return {test.text}"]
+    scope = {}
+    exec("\n".join(lines), scope)
+    return scope["check"]
 
 
 def enumerate_semiquandles(n: int, up_to_iso: bool = False,
@@ -138,49 +147,74 @@ def enumerate_semiquandles(n: int, up_to_iso: bool = False,
     """
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be from 1 to {MAX_ORDER}, got {n}")
-    unset = [_Unset(c) for c in range(n)]
-    up = [list(unset) for _ in range(n)]     # up[r][c], unset[c] until set
-    invs = list(unset)      # invs[c][v] = the r with up[r][c] = v
-    dn = [_DnRow(up, invs, a) for a in range(n)]
+    # up, dn and the column inverses of up as 0-based tables padded with
+    # the value n: an entry not known yet holds n, and so do row n and
+    # column n, so a read at an unknown value is unknown too
+    up = [[n] * (n + 1) for _ in range(n + 1)]
+    dn = [[n] * (n + 1) for _ in range(n + 1)]
+    unknown = [n] * (n + 1)
+    invs = [unknown] * (n + 1)      # invs[c][v] = the r with up[r][c] = v
 
     # waiting[c]: the checks to run once column c is set, each an axiom
-    # instance of the catalog first filed under its wait column.  A
-    # choice for column c appends only to the lists of later columns,
-    # and marks[c] holds their lengths from before it, so the next choice
-    # truncates them back.
-    waiting = [[] for _ in range(n)]
+    # instance of the catalog first filed under its wait column and, while
+    # it reads an unknown entry, retried at the next column.  The choices
+    # for column c append only to waiting[c + 1], and marks[c] holds its
+    # length from before them, so each choice, and the way back from c,
+    # truncates it back.  waiting[n] stays empty: every entry is known
+    # once the last column is set.
+    waiting = [[] for _ in range(n + 1)]
     for wait, axiom, w in _instances(_FLAT_AXIOMS, n):
         if wait is not None:
+            check = _column_check(axiom, len(w))
             waiting[max(w[k] for k in wait)].append(
-                functools.partial(axiom, up, dn, *w))
+                functools.partial(check, up, dn, n, *w))
+    # hooks[c]: the entries (a, b) of dn with a < c and up[b][a] == c,
+    # known once column c is set
+    hooks = [None] * n
     below = [math.factorial(n) ** (n - 1 - c) for c in range(n)]
     choices = [None] * n
     marks = [None] * n
     nodes = found = 0
     seen = set()
     depth = 0
+    hooks[0] = []
     choices[0] = itertools.permutations(range(n))
-    marks[0] = [len(w) for w in waiting]
+    marks[0] = len(waiting[1])
     while depth >= 0:
         column = next(choices[depth], None)
+        later = waiting[depth + 1]
+        del later[marks[depth]:]
         if column is None:
             for row in up:
-                row[depth] = unset[depth]
-            invs[depth] = unset[depth]
+                row[depth] = n
+            for a, b in hooks[depth]:
+                dn[a][b] = n
+            dn[depth] = list(unknown)
+            invs[depth] = unknown
             depth -= 1
             continue
-        inverse = [0] * n
+        inverse = list(unknown)
         for row, v in enumerate(column):
             inverse[v] = row
             up[row][depth] = v
         invs[depth] = inverse
-        for c in range(depth + 1, n):
-            del waiting[c][marks[depth][c]:]
-        holds = _checks_hold(waiting, depth)
+        for a, b in hooks[depth]:
+            dn[a][b] = inverse[a]
+        dn[depth][:n] = [invs[v][depth] for v in column]
+        holds = True
+        for check in waiting[depth]:
+            held = check()
+            if held is None:
+                later.append(check)
+            elif not held:
+                holds = False
+                break
         if holds and depth + 1 < n:
             depth += 1
+            hooks[depth] = [(a, b) for a in range(depth) for b in range(n)
+                            if up[b][a] == depth]
             choices[depth] = itertools.permutations(range(n))
-            marks[depth] = [len(w) for w in waiting]
+            marks[depth] = len(waiting[depth + 1])
             continue
         nodes += below[depth]
         if nodes > node_budget:
@@ -189,13 +223,12 @@ def enumerate_semiquandles(n: int, up_to_iso: bool = False,
             raise ResourceBudgetExceeded(max(node_budget, 0) + 1, found)
         if not holds:
             continue
-        dn_rows = tuple(tuple(dn[a][b] + 1 for b in range(n))
-                        for a in range(n))
+        dn_rows = tuple(tuple(v + 1 for v in row[:n]) for row in dn[:n])
         # axiom 0 for dn is the one left: up's holds by construction, ii.a
         # by the derivation of dn, and every other instance has held
         if any(len(set(column)) < n for column in zip(*dn_rows)):
             continue
-        up_rows = tuple(tuple(v + 1 for v in row) for row in up)
+        up_rows = tuple(tuple(v + 1 for v in row[:n]) for row in up[:n])
         table = _trusted(SemiquandleTable, up=up_rows, dn=dn_rows)
         if up_to_iso:
             key = CanonicalForm.of(table)
@@ -251,19 +284,31 @@ class _HatRow:
 def _hat_readers(up: tuple, dn: tuple) -> tuple:
     """(up, dn, hup, hdn) at plan time: hup[x][y] is the hat entry of
     h[x*n + y] and hdn[a][b] that of h[n*n + a*n + b]; up and dn are
-    lists of their rows at the constants, then at the hat entries."""
+    lists of their rows at the constants, then at the hat entries.  Equal
+    matrices are one object, so that a check's matrices compare by
+    identity."""
     n = len(up)
     size = n + 1
-    first = tuple((i,) * size for i in range(size))
     entries = range(2 * n * n)
+    # the matrix M[h][h'] = vec[h] of each vec, built once
+    matrices = {}
+
+    def matrix(vec):
+        m = matrices.get(vec)
+        if m is None:
+            m = matrices[vec] = tuple((v,) * size for v in vec)
+        return m
+    first = matrix(tuple(range(size)))
     hats = [_Sym(first, i, i, n + i) for i in entries]
+    pads = [_padded(up), _padded(dn)]
+    if pads[0] == pads[1]:
+        pads[1] = pads[0]
     readers = []
-    for t in (up, dn):
+    for t, pad in zip((up, dn), pads):
         # per constant x the matrix of t[x][h - 1], and per constant y
         # that of t[h - 1][y], at each value h
-        pad = _padded(t)
-        cols = [tuple((v,) * size for v in row) for row in pad[1:]]
-        rows = [tuple((row[y],) * size for row in pad) for y in range(1, size)]
+        cols = [matrix(row) for row in pad[1:]]
+        rows = [matrix(col) for col in zip(*pad)][1:]
         readers.append([(*t[x], *(_Sym(cols[x], i, i) for i in entries)) for x in range(n)]
                        + [_HatRow(pad, rows, i) for i in entries])
     grid = [hats[k:k + n] for k in range(0, 2 * n * n, n)]
@@ -276,37 +321,63 @@ def _hat_search_plan(up: tuple, dn: tuple, up_inv: tuple) -> tuple:
     The search sets hup[x][y] at step x*n + y, and derives hdn[a][b] once
     the two hup cells of axiom hi.a are set.  For each step this returns
     the derivations (t, M, i, j), setting h[t] = M[h[i]][h[j]]; the checks
-    whose last entry read is set there, each holding iff
-    L[h[a1]][h[a2]] == R[h[b1]][h[b2]], with duplicates and checks of two
-    equal sides dropped; and the rows (k, span) finished there, row k of
-    hup (k < n) or hdn being h[span].  A hat entry is only read at up and
-    dn values, so one evaluation over _hat_readers compiles an instance.
+    whose last cell read is set there, each holding iff
+    L[h[a1]][h[a2]] == R[h[b1]][h[b2]]; and the rows (k, span) finished
+    there, row k of hup (k < n) or hdn being h[span].  A hat entry is only
+    read at up and dn values, so one evaluation over _hat_readers compiles
+    an instance.  Duplicate checks and checks of two equal sides are
+    dropped, and so is each check that reads at most two hup cells and
+    holds at every value of them (an hdn entry read counts as the two
+    cells it is derived from): trying each value proves it, and it could
+    never prune.
     """
     n = len(up)
     cells = n * n
     r = range(n)
     # axiom hi.a: hdn[a][b] = up_inv[hup[dn[a][b]][up[b][a]]][hup[b][a]]
     sources = [(dn[a][b] * n + up[b][a], b * n + a) for a in r for b in r]
-    step = [*range(cells), *map(max, sources)]
+    # bit c of reads[i] is set when h[i] is read from hup cell c
+    reads = [*(1 << i for i in range(cells)), *((1 << i) | (1 << j) for i, j in sources)]
     derive = [[] for _ in range(cells)]
     inverse = _padded(up_inv)
     for t, (i, j) in enumerate(sources, cells):
-        derive[step[t]].append((t, inverse, i, j))
+        derive[max(i, j)].append((t, inverse, i, j))
     readers = _hat_readers(up, dn)
     checks = [[] for _ in range(cells)]
-    kept = set()
+    seen = set()
+    # values[read][i]: the values h[i] takes as the one or two cells of
+    # read take every value, in product order
+    values = {}
+    one = range(1, n + 1)
+    two = [*zip(*itertools.product(one, repeat=2))]
     for wait, axiom, w in _instances(_HAT_AXIOMS, n):
         if wait is None:
             continue
-        check = axiom(*readers, *w)
-        if check[:3] != check[3:] and check not in kept:
-            kept.add(check)
-            _, a1, a2, _, b1, b2 = check
-            checks[max(step[a1], step[a2], step[b1], step[b2])].append(check)
+        left, a1, a2, right, b1, b2 = check = axiom(*readers, *w)
+        key = (id(left), a1, a2, id(right), b1, b2)
+        if key in seen or left is right and a1 == b1 and a2 == b2:
+            continue
+        seen.add(key)
+        read = reads[a1] | reads[a2] | reads[b1] | reads[b2]
+        rest = read & (read - 1)        # read without its first cell
+        if not rest & (rest - 1):       # so at most two cells
+            at = values.get(read)
+            if at is None:
+                c = (read ^ rest).bit_length() - 1
+                at = values[read] = ({c: one} if not rest else
+                                     {c: two[0], rest.bit_length() - 1: two[1]})
+            for i in (a1, a2, b1, b2):
+                if i not in at:
+                    p, q = sources[i - cells]
+                    at[i] = [inverse[x][y] for x, y in zip(at[p], at[q])]
+            if all(left[x][y] == right[u][v]
+                   for x, y, u, v in zip(at[a1], at[a2], at[b1], at[b2])):
+                continue
+        checks[read.bit_length() - 1].append(check)
     finish = [[] for _ in range(cells)]
     for k in range(2 * n):
         span = slice(k * n, k * n + n)
-        finish[max(step[span])].append((k, span))
+        finish[max(reads[span]).bit_length() - 1].append((k, span))
     return derive, checks, finish
 
 
@@ -322,39 +393,60 @@ def enumerate_singular_extensions(table: SemiquandleTable,
     reads is set, and a failing one prunes every table below that cell.
     Each row is frozen once, when its last entry is set, and shared by
     every extension below.  One node is one value tried in one cell,
-    counted against the budget.
+    counted against the budget.  The n values of the last cell are tried
+    in one loop while the budget holds at least n more nodes, and one at
+    a time otherwise, so that the budget stops the search at the same
+    node either way.
     """
     ops = StructureBundle(table).ops
     n = table.n
     derive, checks, finish = _hat_search_plan(ops["up"], ops["dn"], ops["up_inv"])
     h = [0] * (2 * n * n)
-    rows = [None] * (2 * n)
+    hup, hdn = [None] * n, [None] * n
+    finish = [[(hdn if k >= n else hup, k % n, span) for k, span in cell] for cell in finish]
     last = n * n - 1
+    values = range(1, n + 1)
+    # the leaves are proved: build them as _trusted does, without its
+    # keyword dict
+    new, setfield = object.__new__, object.__setattr__
     nodes = found = 0
     c = 0
     while c >= 0:
-        value = h[c] + 1
-        if value > n:
+        if c == last and not h[c] and nodes + n <= node_budget:
+            # every value of the last cell, in one loop
+            tries = values
+            nodes += n
+        else:
+            value = h[c] + 1
+            if value > n:
+                h[c] = 0
+                c -= 1
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                raise ResourceBudgetExceeded(nodes, found)
+            tries = (value,)
+        for value in tries:
+            h[c] = value
+            for t, m, i, j in derive[c]:
+                h[t] = m[h[i]][h[j]]
+            for left, a1, a2, right, b1, b2 in checks[c]:
+                if left[h[a1]][h[a2]] != right[h[b1]][h[b2]]:
+                    break
+            else:
+                for rows, k, span in finish[c]:
+                    rows[k] = tuple(h[span])
+                if c < last:
+                    c += 1      # tries held one value
+                else:
+                    found += 1
+                    leaf = new(SingularExtension)
+                    setfield(leaf, "hup", tuple(hup))
+                    setfield(leaf, "hdn", tuple(hdn))
+                    yield leaf
+        if tries is values:
             h[c] = 0
             c -= 1
-            continue
-        h[c] = value
-        nodes += 1
-        if nodes > node_budget:
-            raise ResourceBudgetExceeded(nodes, found)
-        for t, m, i, j in derive[c]:
-            h[t] = m[h[i]][h[j]]
-        for left, a1, a2, right, b1, b2 in checks[c]:
-            if left[h[a1]][h[a2]] != right[h[b1]][h[b2]]:
-                break
-        else:
-            for k, span in finish[c]:
-                rows[k] = tuple(h[span])
-            if c < last:
-                c += 1
-                continue
-            found += 1
-            yield _trusted(SingularExtension, hup=tuple(rows[:n]), hdn=tuple(rows[n:]))
 
 
 def enumerate_virtual_structures(bundle: StructureBundle,

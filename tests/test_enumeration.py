@@ -240,24 +240,49 @@ def test_hat_search_plan_compiles_every_axiom_instance():
                         == holds(up, dn, hup, hdn, *w))
 
 
-def test_hat_search_plan_files_each_distinct_check_under_its_last_cell():
-    # hi.a is left out because the search derives hdn from it; a check
-    # whose two sides are the same always holds
+def test_hat_search_plan_files_each_kept_check_under_its_last_cell():
+    # hi.a is left out because the search derives hdn from it, and a check
+    # whose two sides are the same always holds.  Of the other distinct
+    # checks, the plan drops each that reads at most two hup cells and
+    # holds at every value of them, tried here one by one, and files every
+    # other under the last cell it reads
+    trivial = ((1, 1, 1), (2, 2, 2), (3, 3, 3))
+    assert trivial in [t.up for t in HAT_TABLES]
     for table in HAT_TABLES:
         n = table.n
         ops = StructureBundle(table).ops
-        up, dn = ops["up"], ops["dn"]
-        # hup[x][y] is set at step x*n + y, hdn[a][b] once the two hup
-        # cells axiom hi derives it from are
-        step = [*range(n * n), *(max(b * n + a, dn[a][b] * n + up[b][a])
-                                 for a in range(n) for b in range(n))]
-        want = [set() for _ in range(n * n)]
-        for name, _, _, check in compiled_hat_instances(up, dn):
-            if name != "hi.a" and check[:3] != check[3:]:
-                want[max(step[i] for i in check[1:3] + check[4:])].add(check)
-        _, checks, _ = _hat_search_plan(up, dn, ops["up_inv"])
+        up, dn, up_inv = ops["up"], ops["dn"], ops["up_inv"]
+        # hup[x][y] is cell x*n + y; hdn[a][b] is derived from two of them
+        sources = [(dn[a][b] * n + up[b][a], b * n + a) for a in range(n) for b in range(n)]
+        cells_of = [{i} for i in range(n * n)] + [set(s) for s in sources]
+
+        def always_holds(check, read):
+            left, a1, a2, right, b1, b2 = check
+            for values in itertools.product(range(n), repeat=len(read)):
+                hup = [0] * (n * n)
+                for c, v in zip(read, values):
+                    hup[c] = v
+                h = [v + 1 for v in hup] + [up_inv[hup[i]][hup[j]] + 1 for i, j in sources]
+                if left[h[a1]][h[a2]] != right[h[b1]][h[b2]]:
+                    return False
+            return True
+
+        distinct = {check for name, _, _, check in compiled_hat_instances(up, dn)
+                    if name != "hi.a" and check[:3] != check[3:]}
+        _, checks, _ = _hat_search_plan(up, dn, up_inv)
         assert [len(set(cell)) for cell in checks] == [len(cell) for cell in checks]
-        assert [set(cell) for cell in checks] == want
+        kept = {check: c for c, cell in enumerate(checks) for check in cell}
+        assert set(kept) <= distinct
+        dropped = 0
+        for check in distinct:
+            read = sorted(set().union(*(cells_of[i] for i in check[1:3] + check[4:])))
+            provable = len(read) <= 2 and always_holds(check, read)
+            assert kept.get(check) == (None if provable else read[-1])
+            dropped += provable
+        assert dropped == len(distinct) - len(kept)
+        if table.up == trivial:
+            # the trivial table's checks all read at most two cells and hold
+            assert dropped == len(distinct) > 0 and not kept
 
 
 def test_singular_extensions_and_budget_stops_are_pinned():
