@@ -281,36 +281,49 @@ class _HatRow:
         return _Sym(self.pad, self.i, y.at - len(self.rows))
 
 
+@functools.cache
+def _hat_entries(n: int) -> tuple:
+    """The matrix first, with first[h][h'] = h, and the 2n^2 hat entries
+    of order n, which read h at each place of h."""
+    first = tuple((i,) * (n + 1) for i in range(n + 1))
+    return first, tuple(_Sym(first, i, i, n + i) for i in range(2 * n * n))
+
+
 def _hat_readers(up: tuple, dn: tuple) -> tuple:
     """(up, dn, hup, hdn) at plan time: hup[x][y] is the hat entry of
     h[x*n + y] and hdn[a][b] that of h[n*n + a*n + b]; up and dn are
     lists of their rows at the constants, then at the hat entries.  Equal
     matrices are one object, so that a check's matrices compare by
-    identity."""
+    identity, and equal rows of up and dn are one tuple."""
     n = len(up)
     size = n + 1
-    entries = range(2 * n * n)
+    first, hats = _hat_entries(n)
     # the matrix M[h][h'] = vec[h] of each vec, built once
-    matrices = {}
+    matrices = {first[1]: first}
 
     def matrix(vec):
         m = matrices.get(vec)
         if m is None:
             m = matrices[vec] = tuple((v,) * size for v in vec)
         return m
-    first = matrix(tuple(range(size)))
-    hats = [_Sym(first, i, i, n + i) for i in entries]
+    # row x of a table at the constants, then the matrix of row[h - 1] at
+    # each hat entry h, per distinct row
+    const_rows = {}
+
+    def const_row(row):
+        at = const_rows.get(row)
+        if at is None:
+            m = matrix((0, *(v + 1 for v in row)))
+            at = const_rows[row] = (*row, *(_Sym(m, i, i) for i in range(2 * n * n)))
+        return at
     pads = [_padded(up), _padded(dn)]
     if pads[0] == pads[1]:
         pads[1] = pads[0]
     readers = []
     for t, pad in zip((up, dn), pads):
-        # per constant x the matrix of t[x][h - 1], and per constant y
-        # that of t[h - 1][y], at each value h
-        cols = [matrix(row) for row in pad[1:]]
+        # per constant y the matrix of t[h - 1][y] at each value h
         rows = [matrix(col) for col in zip(*pad)][1:]
-        readers.append([(*t[x], *(_Sym(cols[x], i, i) for i in entries)) for x in range(n)]
-                       + [_HatRow(pad, rows, i) for i in entries])
+        readers.append([*map(const_row, t), *(_HatRow(pad, rows, i) for i in range(2 * n * n))])
     grid = [hats[k:k + n] for k in range(0, 2 * n * n, n)]
     return (*readers, grid[:n], grid[n:])
 
