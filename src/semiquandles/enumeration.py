@@ -239,26 +239,6 @@ def enumerate_semiquandles(n: int, up_to_iso: bool = False,
         yield table
 
 
-class _Sym:
-    """A value at plan time of the hat search: M[h[i]][h[j]], held as
-    side = (M, i, j), with h the flat state of the search and M a padded
-    1-based matrix of constants.  Comparing two gives the check
-    (L, a1, a2, R, b1, b2).  A hat entry h[i] is (first, i, i), and it
-    indexes the readers of up and dn at its place, at = n + i; any other
-    value used as an index raises TypeError."""
-
-    __slots__ = ("side", "at")
-
-    def __init__(self, m, i, j, at=None):
-        self.side, self.at = (m, i, j), at
-
-    def __index__(self):
-        return self.at
-
-    def __eq__(self, other):
-        return self.side + other.side
-
-
 def _padded(t) -> tuple:
     """The 0-based table t as a 1-based matrix with a leading row and
     column of zeros, so that it is indexed by values of h."""
@@ -266,66 +246,102 @@ def _padded(t) -> tuple:
     return ((0,) * (n + 1),) + tuple((0,) + tuple(v + 1 for v in row) for row in t)
 
 
-class _HatRow:
-    """Row h[i] of up or dn at plan time."""
+class _HatTerm:
+    """A value of a hat axiom at compile time, as source text: a constant
+    of up and dn (kind "c"), the place i in h of a hat entry ("h"), or a
+    side (M, i, j) of a check, the value M[h[i]][h[j]] ("s").  Comparing
+    two hat values gives the text of the check (L, a1, a2, R, b1, b2); a
+    hat entry h[i] is the side (first, i, i)."""
 
-    __slots__ = ("pad", "rows", "i")
+    __slots__ = ("kind", "text")
 
-    def __init__(self, pad, rows, i):
-        self.pad, self.rows, self.i = pad, rows, i
+    def __init__(self, kind: str, text: str):
+        self.kind, self.text = kind, text
 
-    def __getitem__(self, y):
-        if isinstance(y, int):
-            return _Sym(self.rows[y], self.i, self.i)
-        # y.at - n is y's place in h, and a TypeError unless y is a hat entry
-        return _Sym(self.pad, self.i, y.at - len(self.rows))
+    def side(self) -> str:
+        if self.kind == "c":
+            raise TypeError("a hat axiom compares values of the extension only")
+        return self.text if self.kind == "s" else f"first, {self.text}, {self.text}"
+
+    def __eq__(self, other):
+        return _HatTerm("check", f"({self.side()}, {other.side()})")
+
+    __hash__ = None
+
+
+class _HatTable:
+    """up, dn, hup or hdn at compile time, or one row of it.  A read of
+    up or dn at two constants is a constant; one at a hat entry is the
+    side of a constant matrix of the table: t_cols[a] (the values
+    t[a][h - 1]), t_rows[b] (t[h - 1][b]) or t_pad (t[h - 1][h' - 1]).
+    hup and hdn are read at constants only.  Each constant and hat place
+    is computed once, in a line of lines."""
+
+    __slots__ = ("lines", "name", "row")
+
+    def __init__(self, lines: dict, name: str, row=None):
+        self.lines, self.name, self.row = lines, name, row
+
+    def __getitem__(self, key):
+        if self.row is None:
+            return _HatTable(self.lines, self.name, key)
+        a, b, t = self.row, key, self.name
+        if "s" in (a.kind, b.kind) or t[0] == "h" and "h" in (a.kind, b.kind):
+            raise TypeError(f"{t} read at a value of the extension")
+        if t[0] == "h":
+            place = f"{a.text} * n + {b.text}" + (" + n * n" if t == "hdn" else "")
+            return _HatTerm("h", self.lines.setdefault(place, f"v{len(self.lines)}"))
+        if a.kind == b.kind == "c":
+            read = f"{t}[{a.text}][{b.text}]"
+            return _HatTerm("c", self.lines.setdefault(read, f"v{len(self.lines)}"))
+        if a.kind == "c":
+            return _HatTerm("s", f"{t}_cols[{a.text}], {b.text}, {b.text}")
+        if b.kind == "c":
+            return _HatTerm("s", f"{t}_rows[{b.text}], {a.text}, {a.text}")
+        return _HatTerm("s", f"{t}_pad, {a.text}, {b.text}")
+
+
+_HAT_ENV = "up, dn, n, first, up_cols, up_rows, up_pad, dn_cols, dn_rows, dn_pad"
 
 
 @functools.cache
-def _hat_entries(n: int) -> tuple:
-    """The matrix first, with first[h][h'] = h, and the 2n^2 hat entries
-    of order n, which read h at each place of h."""
-    first = tuple((i,) * (n + 1) for i in range(n + 1))
-    return first, tuple(_Sym(first, i, i, n + i) for i in range(2 * n * n))
+def _hat_check(holds, arity: int):
+    """The hat axiom holds(up, dn, hup, hdn, *witness) as one generated
+    function of (*_hat_env(up, dn), *witness) that gives the check of the
+    instance.  One evaluation over _HatTable writes it: a hat entry is
+    only read at up and dn values, so the places it reads in h, and the
+    matrices it reads there, are known from up and dn alone."""
+    lines = {}
+    witness = [_HatTerm("c", v) for v in "xyz"[:arity]]
+    test = holds(*(_HatTable(lines, t) for t in ("up", "dn", "hup", "hdn")), *witness)
+    source = [f"def check({_HAT_ENV}, {', '.join(w.text for w in witness)}):",
+              *(f"    {v} = {expr}" for expr, v in lines.items()), f"    return {test.text}"]
+    scope = {}
+    exec("\n".join(source), scope)
+    return scope["check"]
 
 
-def _hat_readers(up: tuple, dn: tuple) -> tuple:
-    """(up, dn, hup, hdn) at plan time: hup[x][y] is the hat entry of
-    h[x*n + y] and hdn[a][b] that of h[n*n + a*n + b]; up and dn are
-    lists of their rows at the constants, then at the hat entries.  Equal
-    matrices are one object, so that a check's matrices compare by
-    identity, and equal rows of up and dn are one tuple."""
-    n = len(up)
-    size = n + 1
-    first, hats = _hat_entries(n)
-    # the matrix M[h][h'] = vec[h] of each vec, built once
-    matrices = {first[1]: first}
+def _hat_env(up: tuple, dn: tuple) -> tuple:
+    """The arguments, before the witness, of the _hat_check functions over
+    the 0-based tables up and dn.  Each matrix of a table at one hat entry
+    reads a vector vec at it, M[h][h'] = vec[h]; equal matrices are one
+    object, so that the sides of a check compare by identity."""
+    size = len(up) + 1
+    matrices = {}
 
     def matrix(vec):
         m = matrices.get(vec)
         if m is None:
             m = matrices[vec] = tuple((v,) * size for v in vec)
         return m
-    # row x of a table at the constants, then the matrix of row[h - 1] at
-    # each hat entry h, per distinct row
-    const_rows = {}
-
-    def const_row(row):
-        at = const_rows.get(row)
-        if at is None:
-            m = matrix((0, *(v + 1 for v in row)))
-            at = const_rows[row] = (*row, *(_Sym(m, i, i) for i in range(2 * n * n)))
-        return at
-    pads = [_padded(up), _padded(dn)]
-    if pads[0] == pads[1]:
-        pads[1] = pads[0]
-    readers = []
-    for t, pad in zip((up, dn), pads):
-        # per constant y the matrix of t[h - 1][y] at each value h
-        rows = [matrix(col) for col in zip(*pad)][1:]
-        readers.append([*map(const_row, t), *(_HatRow(pad, rows, i) for i in range(2 * n * n))])
-    grid = [hats[k:k + n] for k in range(0, 2 * n * n, n)]
-    return (*readers, grid[:n], grid[n:])
+    env = [up, dn, size - 1, matrix(tuple(range(size)))]
+    pads = []
+    for t in (up, dn):
+        pad = _padded(t)
+        pad = pads[0] if pads and pads[0] == pad else pad
+        pads.append(pad)
+        env += [[matrix(row) for row in pad[1:]], [matrix(col) for col in zip(*pad)][1:], pad]
+    return tuple(env)
 
 
 def _hat_search_plan(up: tuple, dn: tuple, up_inv: tuple) -> tuple:
@@ -336,9 +352,9 @@ def _hat_search_plan(up: tuple, dn: tuple, up_inv: tuple) -> tuple:
     the derivations (t, M, i, j), setting h[t] = M[h[i]][h[j]]; the checks
     whose last cell read is set there, each holding iff
     L[h[a1]][h[a2]] == R[h[b1]][h[b2]]; and the rows (k, span) finished
-    there, row k of hup (k < n) or hdn being h[span].  A hat entry is only
-    read at up and dn values, so one evaluation over _hat_readers compiles
-    an instance.  Duplicate checks and checks of two equal sides are
+    there, row k of hup (k < n) or hdn being h[span].  Each instance is
+    compiled by the generated function of its axiom.  Duplicate checks
+    and checks of two equal sides are
     dropped, and so is each check that reads at most two hup cells and
     holds at every value of them (an hdn entry read counts as the two
     cells it is derived from): trying each value proves it, and it could
@@ -355,7 +371,9 @@ def _hat_search_plan(up: tuple, dn: tuple, up_inv: tuple) -> tuple:
     inverse = _padded(up_inv)
     for t, (i, j) in enumerate(sources, cells):
         derive[max(i, j)].append((t, inverse, i, j))
-    readers = _hat_readers(up, dn)
+    env = _hat_env(up, dn)
+    compiled = {holds: _hat_check(holds, arity) for _, arity, wait, holds in _HAT_AXIOMS
+                if wait is not None}
     checks = [[] for _ in range(cells)]
     seen = set()
     # values[read][i]: the values h[i] takes as the one or two cells of
@@ -366,7 +384,7 @@ def _hat_search_plan(up: tuple, dn: tuple, up_inv: tuple) -> tuple:
     for wait, axiom, w in _instances(_HAT_AXIOMS, n):
         if wait is None:
             continue
-        left, a1, a2, right, b1, b2 = check = axiom(*readers, *w)
+        left, a1, a2, right, b1, b2 = check = compiled[axiom](*env, *w)
         key = (id(left), a1, a2, id(right), b1, b2)
         if key in seen or left is right and a1 == b1 and a2 == b2:
             continue
@@ -383,8 +401,11 @@ def _hat_search_plan(up: tuple, dn: tuple, up_inv: tuple) -> tuple:
                 if i not in at:
                     p, q = sources[i - cells]
                     at[i] = [inverse[x][y] for x, y in zip(at[p], at[q])]
-            if all(left[x][y] == right[u][v]
-                   for x, y, u, v in zip(at[a1], at[a2], at[b1], at[b2])):
+            x, y, u, v = at[a1], at[a2], at[b1], at[b2]
+            for k in range(len(x)):
+                if left[x[k]][y[k]] != right[u[k]][v[k]]:
+                    break
+            else:
                 continue
         checks[read.bit_length() - 1].append(check)
     finish = [[] for _ in range(cells)]

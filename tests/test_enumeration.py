@@ -15,7 +15,7 @@ from semiquandles.algebra import (_HAT_AXIOMS, BUILTIN_BUNDLES, SemiquandleTable
                                   make_constant_action, perm_inverse)
 from semiquandles.cli import main
 from semiquandles.enumeration import (
-    CanonicalForm, ResourceBudgetExceeded, _hat_readers, _hat_search_plan,
+    CanonicalForm, ResourceBudgetExceeded, _hat_check, _hat_env, _hat_search_plan,
     enumerate_semiquandles, enumerate_singular_extensions,
     enumerate_virtual_structures,
 )
@@ -216,9 +216,9 @@ HAT_TABLES = [builtin_bundle("t4").table, *enumerate_semiquandles(3, up_to_iso=T
 
 def compiled_hat_instances(up, dn):
     """(name, holds, witness, check) for every instance of every hat
-    axiom, check compiled over the readers of the hat search."""
-    readers = _hat_readers(up, dn)
-    return [(name, holds, w, holds(*readers, *w))
+    axiom, check compiled as the hat search compiles it."""
+    env = _hat_env(up, dn)
+    return [(name, holds, w, _hat_check(holds, arity)(*env, *w))
             for name, arity, _, holds in _HAT_AXIOMS
             for w in itertools.product(range(len(up)), repeat=arity)]
 
