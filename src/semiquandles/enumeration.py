@@ -274,8 +274,9 @@ class _HatTable:
     up or dn at two constants is a constant; one at a hat entry is the
     side of a constant matrix of the table: t_cols[a] (the values
     t[a][h - 1]), t_rows[b] (t[h - 1][b]) or t_pad (t[h - 1][h' - 1]).
-    hup and hdn are read at constants only.  Each constant and hat place
-    is computed once, in a line of lines."""
+    hup and hdn are read at constants only.  Each constant and each place
+    in h is computed once, into a local of the generated function: lines
+    maps its expression to the local."""
 
     __slots__ = ("lines", "name", "row")
 
@@ -286,9 +287,10 @@ class _HatTable:
         if self.row is None:
             return _HatTable(self.lines, self.name, key)
         a, b, t = self.row, key, self.name
-        if "s" in (a.kind, b.kind) or t[0] == "h" and "h" in (a.kind, b.kind):
+        hat = t in ("hup", "hdn")
+        if {a.kind, b.kind} - ({"c"} if hat else {"c", "h"}):
             raise TypeError(f"{t} read at a value of the extension")
-        if t[0] == "h":
+        if hat:
             place = f"{a.text} * n + {b.text}" + (" + n * n" if t == "hdn" else "")
             return _HatTerm("h", self.lines.setdefault(place, f"v{len(self.lines)}"))
         if a.kind == b.kind == "c":
@@ -323,9 +325,11 @@ def _hat_check(holds, arity: int):
 
 def _hat_env(up: tuple, dn: tuple) -> tuple:
     """The arguments, before the witness, of the _hat_check functions over
-    the 0-based tables up and dn.  Each matrix of a table at one hat entry
-    reads a vector vec at it, M[h][h'] = vec[h]; equal matrices are one
-    object, so that the sides of a check compare by identity."""
+    the 0-based tables up and dn.  first, t_cols[a] and t_rows[b] read
+    one hat entry: each is M[h][h'] = vec[h] for a vector vec (0..n, row
+    a + 1 of t_pad, column b + 1 of t_pad), built once per vec, so that
+    equal matrices are one object and the sides of a check compare by
+    identity."""
     size = len(up) + 1
     matrices = {}
 
@@ -354,11 +358,10 @@ def _hat_search_plan(up: tuple, dn: tuple, up_inv: tuple) -> tuple:
     L[h[a1]][h[a2]] == R[h[b1]][h[b2]]; and the rows (k, span) finished
     there, row k of hup (k < n) or hdn being h[span].  Each instance is
     compiled by the generated function of its axiom.  Duplicate checks
-    and checks of two equal sides are
-    dropped, and so is each check that reads at most two hup cells and
-    holds at every value of them (an hdn entry read counts as the two
-    cells it is derived from): trying each value proves it, and it could
-    never prune.
+    and checks of two equal sides are dropped, and so is each check that
+    reads at most two hup cells and holds at every value of them (an hdn
+    entry read counts as the two cells it is derived from): trying each
+    value proves it, and it could never prune.
     """
     n = len(up)
     cells = n * n
