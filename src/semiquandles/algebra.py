@@ -65,7 +65,9 @@ def _freeze(rows) -> tuple:
 def _trusted(cls, **fields):
     """A frozen cls from fields already frozen and proven to satisfy its
     axioms, without the copy and the checks of its constructor.  Only the
-    enumerators call it, for the tables their searches have proved."""
+    enumerators build objects this way, for what their searches have
+    proved; the extension search sets the two fields of each of its many
+    leaves directly, without the keyword dict."""
     obj = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(obj, name, value)

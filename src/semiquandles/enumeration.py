@@ -170,14 +170,13 @@ def enumerate_semiquandles(n: int, up_to_iso: bool = False,
                 functools.partial(check, up, dn, n, *w))
     # hooks[c]: the entries (a, b) of dn with a < c and up[b][a] == c,
     # known once column c is set
-    hooks = [None] * n
+    hooks = [[] for _ in range(n)]
     below = [math.factorial(n) ** (n - 1 - c) for c in range(n)]
     choices = [None] * n
     marks = [None] * n
     nodes = found = 0
     seen = set()
     depth = 0
-    hooks[0] = []
     choices[0] = itertools.permutations(range(n))
     marks[0] = len(waiting[1])
     while depth >= 0:
