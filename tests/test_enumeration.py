@@ -8,14 +8,15 @@ import pytest
 
 import semiquandles.algebra as algebra
 import semiquandles.enumeration as enumeration
-from semiquandles.algebra import (_HAT_AXIOMS, BUILTIN_BUNDLES, SemiquandleTable,
+from semiquandles.algebra import (_FLAT_AXIOMS, _HAT_AXIOMS, BUILTIN_BUNDLES, SemiquandleTable,
                                   StructureBundle, automorphisms, builtin_bundle,
                                   check_semiquandle, check_singular,
                                   check_virtual, column_inverse,
                                   make_constant_action, perm_inverse)
 from semiquandles.cli import main
 from semiquandles.enumeration import (
-    CanonicalForm, ResourceBudgetExceeded, _hat_check, _hat_env, _hat_search_plan,
+    CanonicalForm, ResourceBudgetExceeded, _column_check, _hat_check, _hat_env,
+    _hat_search_plan,
     enumerate_semiquandles, enumerate_singular_extensions,
     enumerate_virtual_structures,
 )
@@ -138,6 +139,46 @@ def test_canonical_form_is_relabeling_invariant():
     re_dn = tuple(tuple(phi[t.dn[inv[x] - 1][inv[y] - 1] - 1]
                         for y in range(1, 5)) for x in range(1, 5))
     assert CanonicalForm.of(SemiquandleTable(re_up, re_dn)) == CanonicalForm.of(t)
+
+
+def test_column_checks_match_the_catalog_on_partial_tables():
+    # over tables padded with the unknown value n, a generated check gives
+    # None exactly when its predicate reads an unknown entry, and
+    # otherwise the predicate's value
+    class Unknown(Exception):
+        pass
+
+    class Guarded:
+        def __init__(self, t, row=None):
+            self.t, self.row = t, row
+
+        def __getitem__(self, i):
+            if i == n:
+                raise Unknown
+            if self.row is None:
+                return Guarded(self.t, i)
+            if self.t[self.row][i] == n:
+                raise Unknown
+            return self.t[self.row][i]
+
+    rng = random.Random(7)
+    n = 3
+    unknowns = 0
+    for _ in range(30):
+        up, dn = ([[rng.randrange(n) if rng.random() < 0.7 else n for _ in range(n)] + [n]
+                   for _ in range(n)] + [[n] * (n + 1)] for _ in range(2))
+        for _, arity, wait, holds in _FLAT_AXIOMS:
+            if wait is None:
+                continue
+            check = _column_check(holds, arity)
+            for w in itertools.product(range(n), repeat=arity):
+                try:
+                    want = holds(Guarded(up), Guarded(dn), *w)
+                except Unknown:
+                    want = None
+                    unknowns += 1
+                assert check(up, dn, n, *w) == want
+    assert unknowns
 
 
 def test_order_outside_its_range_is_a_value_error():
