@@ -94,36 +94,32 @@ def _column_is_perm(t, j: int, n: int) -> bool:
 
 
 # The axiom catalog: every axiom past axiom 0, written once as
-# (name, arity, wait, holds), holds(up, dn, *witness) over 0-based tables
+# (name, arity, holds), holds(up, dn, *witness) over 0-based tables
 # (holds(up, dn, hup, hdn, *witness) for the hat axioms).  Both checkers
-# and both enumeration searches evaluate these predicates.  wait is None
-# where a search does not check the axiom, because it derives a table from
-# it so that every instance holds: ii.a (dn) and hi.a (hdn).  Otherwise,
-# for the column search of enumeration, the witness positions whose largest
-# value is the latest column of up an instance reads whatever the entries
-# are; the hat search compiles each instance and finds its last cell
-# itself, so its entries have wait ().
+# evaluate these predicates, and both enumeration searches compile them;
+# each search derives one table from one axiom (dn from ii.a, hdn from
+# hi.a), so that every instance of it holds, and checks all the others.
 _FLAT_AXIOMS = (
-    ("i", 2, (0,), lambda up, dn, x, y: (dn[x][y] == y) == (up[y][x] == x)),
-    ("ii.a", 2, None, lambda up, dn, x, y: up[dn[x][y]][up[y][x]] == x),
-    ("ii.b", 2, (1,), lambda up, dn, x, y: dn[up[x][y]][dn[y][x]] == x),
-    ("iii.a", 3, (1, 2), lambda up, dn, x, y, z:
+    ("i", 2, lambda up, dn, x, y: (dn[x][y] == y) == (up[y][x] == x)),
+    ("ii.a", 2, lambda up, dn, x, y: up[dn[x][y]][up[y][x]] == x),
+    ("ii.b", 2, lambda up, dn, x, y: dn[up[x][y]][dn[y][x]] == x),
+    ("iii.a", 3, lambda up, dn, x, y, z:
         up[up[x][y]][z] == up[up[x][dn[z][y]]][up[y][z]]),
-    ("iii.b", 3, (1, 2), lambda up, dn, x, y, z:
+    ("iii.b", 3, lambda up, dn, x, y, z:
         up[dn[y][x]][dn[z][up[x][y]]] == dn[up[y][z]][up[x][dn[z][y]]]),
-    ("iii.c", 3, (1, 2), lambda up, dn, x, y, z:
+    ("iii.c", 3, lambda up, dn, x, y, z:
         dn[dn[z][up[x][y]]][dn[y][x]] == dn[dn[z][y]][x]),
 )
 _HAT_AXIOMS = (
-    ("hi.a", 2, None, lambda up, dn, hup, hdn, x, y:
+    ("hi.a", 2, lambda up, dn, hup, hdn, x, y:
         hup[dn[y][x]][up[x][y]] == up[hdn[y][x]][hup[x][y]]),
-    ("hi.b", 2, (), lambda up, dn, hup, hdn, x, y:
+    ("hi.b", 2, lambda up, dn, hup, hdn, x, y:
         hdn[up[x][y]][dn[y][x]] == dn[hup[x][y]][hdn[y][x]]),
-    ("hii.a", 3, (), lambda up, dn, hup, hdn, x, y, z:
+    ("hii.a", 3, lambda up, dn, hup, hdn, x, y, z:
         hup[up[x][y]][z] == up[hup[x][dn[z][y]]][up[y][z]]),
-    ("hii.b", 3, (), lambda up, dn, hup, hdn, x, y, z:
+    ("hii.b", 3, lambda up, dn, hup, hdn, x, y, z:
         up[dn[y][x]][hdn[z][up[x][y]]] == dn[up[y][z]][hup[x][dn[z][y]]]),
-    ("hii.c", 3, (), lambda up, dn, hup, hdn, x, y, z:
+    ("hii.c", 3, lambda up, dn, hup, hdn, x, y, z:
         dn[hdn[z][up[x][y]]][dn[y][x]] == hdn[dn[z][y]][x]),
 )
 
@@ -133,7 +129,7 @@ def _violations(axioms, n: int, *tables) -> list:
     tables = [[[v - 1 for v in row] for row in t] for t in tables]
     witnesses = functools.partial(itertools.product, range(n))
     report = []
-    for name, arity, _, holds in axioms:
+    for name, arity, holds in axioms:
         bound = functools.partial(holds, *tables)
         if not all(itertools.starmap(bound, witnesses(repeat=arity))):
             report += [Violation(name, tuple(v + 1 for v in w))

@@ -24,7 +24,7 @@ from .algebra import (AxiomError, ResourceBudgetExceeded, StructureError,
                       StructureBundle, builtin_bundle, format_table_text,
                       parse_table_text, automorphisms, BUILTIN_BUNDLES)
 from .diagram import CodeError, parse_code, extract_relations
-from .enumeration import enumerate_semiquandles, enumerate_virtual_structures
+from .enumeration import _conjugacy_classes, enumerate_semiquandles
 from .present import (PresentationError, MissingExtensionError,
                       parse_presentation, count_colorings, enhanced_invariant,
                       builtin as builtin_presentation)
@@ -170,7 +170,7 @@ def _cmd_auto(args) -> int:
     bundle = _load_bundle(args.table)
     budget = _budget(args)
     autos = automorphisms(bundle, **budget)
-    classes = enumerate_virtual_structures(bundle, **budget)
+    classes = _conjugacy_classes(autos)
     report = {"n": bundle.n,
               "automorphisms": [list(a) for a in autos],
               "conjugacy_class_representatives": [list(c) for c in classes]}

@@ -1,27 +1,25 @@
 """Exhaustive enumeration of semiquandles and their extensions.
 
 Both searches check the axiom catalog of `algebra`, the one place each
-axiom is written, by compiling its predicates through one symbolic
-evaluation.  Semiquandles of order n are found by a depth-first search
-that sets the columns of the up table to permutations (axiom 0 demands
-exactly that), keeps the dn table read through axiom ii, checks each
-axiom instance on the partial tables as soon as every entry it reads is
-known, and of each survivor checks only that the columns of dn are
-permutations, the one axiom not yet proved.  Each axiom is one generated
-function, over tables that hold a padding value where an entry is not
-known yet.  Both searches build what they yield without the checks of
-the public constructors.
-Singular extensions are found by backtracking over the cells of hup in
-row-major order, values ascending, with hdn derived from axiom hi.a.
-Each instance of the other hat axioms is compiled once, by evaluating
-its predicate over symbolic tables, into a comparison of two entries of
-constant matrices read at entries of one flat state.  A check that
-reads at most two cells and holds at every value of them is dropped;
-every other is checked in one loop as soon as the last hup cell it reads
-is set.  Both searches carry an explicit node budget (one candidate
-column tuple for semiquandles, a pruned block counting one per candidate
-in it; one value tried in one hup cell for extensions); exceeding it
-raises instead of truncating silently.
+axiom is written.  One generator compiles each predicate into a Python
+function by evaluating it once over symbolic tables, and each search
+gives it a hook that says what a read and a comparison become there.
+Semiquandles of order n are found by a depth-first search that sets the
+columns of the up table to permutations (axiom 0 demands exactly that),
+derives the dn table from axiom ii.a, and checks every other instance on
+tables that hold a padding value where an entry is not known yet, from
+the column its reads derive on; of each survivor it checks only that the
+columns of dn are permutations.  Singular extensions are found by
+backtracking over the cells of hup in row-major order, values ascending,
+with hdn derived from axiom hi.a.  Each instance of the other hat axioms
+becomes a comparison of two entries of constant matrices read at one
+flat state; it is dropped when it reads at most two cells and holds at
+every value of them, else checked in one loop as soon as the last hup
+cell it reads is set.  Both searches build what they yield without the
+checks of the public constructors, and carry an explicit node budget
+(one candidate column tuple for semiquandles, a pruned block counting
+one per candidate in it; one value tried in one hup cell for
+extensions); exceeding it raises instead of truncating silently.
 """
 
 from __future__ import annotations
@@ -59,71 +57,89 @@ class CanonicalForm:
                         for phi in itertools.permutations(range(table.n))))
 
 
-def _instances(axioms, n: int):
-    """Yield (wait, holds, witness) for every instance of the catalog
-    entries at order n, witnesses 0-based: the pairs, then the triples,
-    each in product order with the entries in catalog order."""
+def _instances(axioms, n: int, derived: str):
+    """Yield (holds, witness) for every instance at order n of the
+    catalog entries but the one named derived, witnesses 0-based: the
+    pairs, then the triples, each in product order, entries in catalog
+    order."""
     for arity in (2, 3):
-        entries = [e for e in axioms if e[1] == arity]
+        entries = [holds for name, a, holds in axioms if a == arity and name != derived]
         for witness in itertools.product(range(n), repeat=arity):
-            for _, _, wait, holds in entries:
-                yield wait, holds, witness
+            for holds in entries:
+                yield holds, witness
 
 
 class _Term:
-    """A value of a flat axiom at compile time: the source text of an
-    expression over the witness and the locals of the generated check.
-    Comparing two gives the text of the comparison."""
+    """A value of an axiom at compile time: the source text of an
+    expression of the generated check, and the kind the search's hook
+    knows it by.  Comparing two is the hook's too: hook(None, a, b)
+    gives the term of a == b."""
 
-    __slots__ = ("text",)
+    __slots__ = ("hook", "text", "kind")
 
-    def __init__(self, text: str):
-        self.text = text
+    def __init__(self, hook, text: str, kind: str = "c"):
+        self.hook, self.text, self.kind = hook, text, kind
 
     def __eq__(self, other):
-        return _Term(f"({self.text} == {other.text})")
-
-    __hash__ = None
+        return self.hook(None, self, other)
 
 
-class _TermTable:
-    """up or dn at compile time, or one row of it: reading an entry adds
-    the line that reads it to the generated check, once per distinct
-    read, and gives the local that holds it.  used collects the locals
-    read as an index."""
+class _Table:
+    """A table of an axiom at compile time, or one row of it: the entry
+    t[a][b] is the term hook(t, a, b)."""
 
-    __slots__ = ("reads", "used", "name", "row")
+    __slots__ = ("hook", "name", "row")
 
-    def __init__(self, reads: dict, used: set, name: str, row=None):
-        self.reads, self.used, self.name, self.row = reads, used, name, row
+    def __init__(self, hook, name: str, row=None):
+        self.hook, self.name, self.row = hook, name, row
 
     def __getitem__(self, key):
         if self.row is None:
-            return _TermTable(self.reads, self.used, self.name, key)
-        self.used.update((self.row.text, key.text))
-        read = f"{self.name}[{self.row.text}][{key.text}]"
-        return _Term(self.reads.setdefault(read, f"r{len(self.reads)}"))
+            return _Table(self.hook, self.name, key)
+        return self.hook(self.name, self.row, key)
+
+
+def _generated(holds, arity: int, head: str, tables, hook, lines: dict, guard=tuple):
+    """The axiom holds(*tables, *witness) as one generated function
+    check(<head>, *witness), written by evaluating holds once over
+    _Table and _Term with the search's hook.  The hook adds each
+    expression the function computes first to lines, mapped to the
+    local that holds it; guard() gives the source lines that follow."""
+    witness = [_Term(hook, v) for v in "xyz"[:arity]]
+    test = holds(*(_Table(hook, t) for t in tables), *witness)
+    source = [f"def check({head}, {', '.join(w.text for w in witness)}):",
+              *(f"    {v} = {expr}" for expr, v in lines.items()),
+              *guard(), f"    return {test.text}"]
+    scope = {}
+    exec("\n".join(source), scope)
+    return scope["check"]
 
 
 @functools.cache
 def _column_check(holds, arity: int):
     """The flat axiom holds(up, dn, *witness) as one generated function
-    of (up, dn, u, *witness), over tables padded with an unknown value u:
-    it returns None when an entry it reads is u, else whether the
-    instance holds.  One evaluation over _TermTable lists the reads; since
-    row u and column u of both tables hold u in every entry, an unknown
-    read makes every read that uses it u too, so only the reads no other
-    read uses are tested."""
-    reads, used = {}, set()
-    witness = [_Term(v) for v in "xyz"[:arity]]
-    test = holds(_TermTable(reads, used, "up"), _TermTable(reads, used, "dn"), *witness)
-    outer = " or ".join(f"{v} == u" for v in reads.values() if v not in used)
-    lines = [f"def check(up, dn, u, {', '.join(w.text for w in witness)}):",
-             *(f"    {v} = {read}" for read, v in reads.items()),
-             f"    if {outer}:", "        return None", f"    return {test.text}"]
-    scope = {}
-    exec("\n".join(lines), scope)
-    return scope["check"]
+    of (up, dn, u, *witness) over tables padded with an unknown value u,
+    and the witness positions that index a column it reads.  The function
+    gives None when a read is u, else whether the instance holds.  Row u
+    and column u of both tables hold u, so an unknown read makes every
+    read that uses it u too: only the reads no other read uses are tested.
+    up[a][b] reads column b and dn[a][b] column a (row a of dn is set with
+    column a), so the instance reads u until the largest witness value at
+    those positions is a set column, where the search files it."""
+    lines, used, columns = {}, set(), set()
+
+    def read(t, a, b):
+        if t is None:
+            return _Term(read, f"({a.text} == {b.text})")
+        used.update((a.text, b.text))
+        columns.add((b if t == "up" else a).text)
+        return _Term(read, lines.setdefault(f"{t}[{a.text}][{b.text}]", f"r{len(lines)}"))
+
+    def guard():
+        outer = " or ".join(f"{v} == u" for v in lines.values() if v not in used)
+        return f"    if {outer}:", "        return None"
+    check = _generated(holds, arity, "up, dn, u", ("up", "dn"), read, lines, guard)
+    return check, tuple(k for k, v in enumerate("xyz"[:arity]) if v in columns)
 
 
 def enumerate_semiquandles(n: int, up_to_iso: bool = False,
@@ -156,18 +172,16 @@ def enumerate_semiquandles(n: int, up_to_iso: bool = False,
     invs = [unknown] * (n + 1)      # invs[c][v] = the r with up[r][c] = v
 
     # waiting[c]: the checks to run once column c is set, each an axiom
-    # instance of the catalog first filed under its wait column and, while
-    # it reads an unknown entry, retried at the next column.  The choices
-    # for column c append only to waiting[c + 1], and marks[c] holds its
-    # length from before them, so each choice, and the way back from c,
-    # truncates it back.  waiting[n] stays empty: every entry is known
-    # once the last column is set.
+    # instance first filed under the column _column_check derives for it
+    # (a lower bound on where it is decided) and retried at the next
+    # column while it reads an unknown entry.  The choices for column c
+    # append only to waiting[c + 1], and marks[c] holds its length from
+    # before them, so each choice, and the way back from c, truncates it
+    # back.  waiting[n] stays empty: all is known after the last column.
     waiting = [[] for _ in range(n + 1)]
-    for wait, axiom, w in _instances(_FLAT_AXIOMS, n):
-        if wait is not None:
-            check = _column_check(axiom, len(w))
-            waiting[max(w[k] for k in wait)].append(
-                functools.partial(check, up, dn, n, *w))
+    for axiom, w in _instances(_FLAT_AXIOMS, n, "ii.a"):
+        check, columns = _column_check(axiom, len(w))
+        waiting[max(w[k] for k in columns)].append(functools.partial(check, up, dn, n, *w))
     # hooks[c]: the entries (a, b) of dn with a < c and up[b][a] == c,
     # known once column c is set
     hooks = [[] for _ in range(n)]
@@ -245,81 +259,42 @@ def _padded(t) -> tuple:
     return ((0,) * (n + 1),) + tuple((0,) + tuple(v + 1 for v in row) for row in t)
 
 
-class _HatTerm:
-    """A value of a hat axiom at compile time, as source text: a constant
-    of up and dn (kind "c"), the place i in h of a hat entry ("h"), or a
-    side (M, i, j) of a check, the value M[h[i]][h[j]] ("s").  Comparing
-    two hat values gives the text of the check (L, a1, a2, R, b1, b2); a
-    hat entry h[i] is the side (first, i, i)."""
+@functools.cache
+def _hat_check(holds, arity: int):
+    """The hat axiom holds(up, dn, hup, hdn, *witness) as one generated
+    function of (*_hat_env(up, dn), *witness) that gives the instance's
+    check (L, a1, a2, R, b1, b2).  A term is a constant of up and dn (kind
+    "c"), the place i in h of a hat entry ("h"), or a side (M, i, j) of a
+    check, the value M[h[i]][h[j]] ("s"); a hat entry h[i] is the side
+    (first, i, i).  hup and hdn are read at constants only, so what a
+    check reads is known from up and dn alone.  up or dn read at a hat
+    entry is a side of a constant matrix of the table: t_cols[a] (values
+    t[a][h - 1]), t_rows[b] (t[h - 1][b]) or t_pad (t[h - 1][h' - 1])."""
+    lines = {}
 
-    __slots__ = ("kind", "text")
-
-    def __init__(self, kind: str, text: str):
-        self.kind, self.text = kind, text
-
-    def side(self) -> str:
-        if self.kind == "c":
+    def side(term):
+        if term.kind == "c":
             raise TypeError("a hat axiom compares values of the extension only")
-        return self.text if self.kind == "s" else f"first, {self.text}, {self.text}"
+        return term.text if term.kind == "s" else f"first, {term.text}, {term.text}"
 
-    def __eq__(self, other):
-        return _HatTerm("check", f"({self.side()}, {other.side()})")
-
-    __hash__ = None
-
-
-class _HatTable:
-    """up, dn, hup or hdn at compile time, or one row of it.  A read of
-    up or dn at two constants is a constant; one at a hat entry is the
-    side of a constant matrix of the table: t_cols[a] (the values
-    t[a][h - 1]), t_rows[b] (t[h - 1][b]) or t_pad (t[h - 1][h' - 1]).
-    hup and hdn are read at constants only.  Each constant and each place
-    in h is computed once, into a local of the generated function: lines
-    maps its expression to the local."""
-
-    __slots__ = ("lines", "name", "row")
-
-    def __init__(self, lines: dict, name: str, row=None):
-        self.lines, self.name, self.row = lines, name, row
-
-    def __getitem__(self, key):
-        if self.row is None:
-            return _HatTable(self.lines, self.name, key)
-        a, b, t = self.row, key, self.name
+    def read(t, a, b):
+        if t is None:
+            return _Term(read, f"({side(a)}, {side(b)})", "check")
         hat = t in ("hup", "hdn")
         if {a.kind, b.kind} - ({"c"} if hat else {"c", "h"}):
             raise TypeError(f"{t} read at a value of the extension")
         if hat:
             place = f"{a.text} * n + {b.text}" + (" + n * n" if t == "hdn" else "")
-            return _HatTerm("h", self.lines.setdefault(place, f"v{len(self.lines)}"))
+            return _Term(read, lines.setdefault(place, f"v{len(lines)}"), "h")
         if a.kind == b.kind == "c":
-            read = f"{t}[{a.text}][{b.text}]"
-            return _HatTerm("c", self.lines.setdefault(read, f"v{len(self.lines)}"))
+            return _Term(read, lines.setdefault(f"{t}[{a.text}][{b.text}]", f"v{len(lines)}"))
         if a.kind == "c":
-            return _HatTerm("s", f"{t}_cols[{a.text}], {b.text}, {b.text}")
+            return _Term(read, f"{t}_cols[{a.text}], {b.text}, {b.text}", "s")
         if b.kind == "c":
-            return _HatTerm("s", f"{t}_rows[{b.text}], {a.text}, {a.text}")
-        return _HatTerm("s", f"{t}_pad, {a.text}, {b.text}")
-
-
-_HAT_ENV = "up, dn, n, first, up_cols, up_rows, up_pad, dn_cols, dn_rows, dn_pad"
-
-
-@functools.cache
-def _hat_check(holds, arity: int):
-    """The hat axiom holds(up, dn, hup, hdn, *witness) as one generated
-    function of (*_hat_env(up, dn), *witness) that gives the check of the
-    instance.  One evaluation over _HatTable writes it: a hat entry is
-    only read at up and dn values, so the places it reads in h, and the
-    matrices it reads there, are known from up and dn alone."""
-    lines = {}
-    witness = [_HatTerm("c", v) for v in "xyz"[:arity]]
-    test = holds(*(_HatTable(lines, t) for t in ("up", "dn", "hup", "hdn")), *witness)
-    source = [f"def check({_HAT_ENV}, {', '.join(w.text for w in witness)}):",
-              *(f"    {v} = {expr}" for expr, v in lines.items()), f"    return {test.text}"]
-    scope = {}
-    exec("\n".join(source), scope)
-    return scope["check"]
+            return _Term(read, f"{t}_rows[{b.text}], {a.text}, {a.text}", "s")
+        return _Term(read, f"{t}_pad, {a.text}, {b.text}", "s")
+    return _generated(holds, arity, "up, dn, n, first, up_cols, up_rows, up_pad, "
+                      "dn_cols, dn_rows, dn_pad", ("up", "dn", "hup", "hdn"), read, lines)
 
 
 def _hat_env(up: tuple, dn: tuple) -> tuple:
@@ -374,8 +349,6 @@ def _hat_search_plan(up: tuple, dn: tuple, up_inv: tuple) -> tuple:
     for t, (i, j) in enumerate(sources, cells):
         derive[max(i, j)].append((t, inverse, i, j))
     env = _hat_env(up, dn)
-    compiled = {holds: _hat_check(holds, arity) for _, arity, wait, holds in _HAT_AXIOMS
-                if wait is not None}
     checks = [[] for _ in range(cells)]
     seen = set()
     # values[read][i]: the values h[i] takes as the one or two cells of
@@ -383,10 +356,8 @@ def _hat_search_plan(up: tuple, dn: tuple, up_inv: tuple) -> tuple:
     values = {}
     one = range(1, n + 1)
     two = [*zip(*itertools.product(one, repeat=2))]
-    for wait, axiom, w in _instances(_HAT_AXIOMS, n):
-        if wait is None:
-            continue
-        left, a1, a2, right, b1, b2 = check = compiled[axiom](*env, *w)
+    for axiom, w in _instances(_HAT_AXIOMS, n, "hi.a"):
+        left, a1, a2, right, b1, b2 = check = _hat_check(axiom, len(w))(*env, *w)
         key = (id(left), a1, a2, id(right), b1, b2)
         if key in seen or left is right and a1 == b1 and a2 == b2:
             continue
@@ -485,19 +456,24 @@ def enumerate_singular_extensions(table: SemiquandleTable,
             c -= 1
 
 
+def _conjugacy_classes(autos: list) -> list:
+    """The least member of each conjugacy class of the sorted group autos
+    of 1-based permutations, sorted.  Conjugating a by g relabels a along
+    g.  The first member of a class met is its least, so each class is
+    listed once: taking the least over the group for every member costs
+    |Aut|^2 relabelings, 25 million on the order-7 projection table."""
+    group = [tuple(x - 1 for x in a) for a in autos]
+    reps, seen = [], set()
+    for a in group:
+        if a not in seen:
+            seen.update(_relabeled(a, g) for g in group)
+            reps.append(tuple(x + 1 for x in a))
+    return reps
+
+
 def enumerate_virtual_structures(bundle: StructureBundle,
                                  node_budget: int = 100_000) -> list:
     """The distinct virtual structures of the bundle: the least member of
-    each conjugacy class of its automorphism group, sorted.  Conjugating
-    a by g relabels a along g.  The automorphisms come sorted, so the
-    first of a class met is its least, and each class is listed once:
-    taking the least over the group for every member instead costs
-    |Aut|^2 relabelings, 25 million on the order-7 projection table.
-    The budget bounds the search for the automorphisms."""
-    autos = [tuple(x - 1 for x in a) for a in automorphisms(bundle, node_budget)]
-    reps, seen = [], set()
-    for a in autos:
-        if a not in seen:
-            seen.update(_relabeled(a, g) for g in autos)
-            reps.append(tuple(x + 1 for x in a))
-    return reps
+    each conjugacy class of its automorphism group, sorted.  The budget
+    bounds the search for the automorphisms."""
+    return _conjugacy_classes(automorphisms(bundle, node_budget))

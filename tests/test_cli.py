@@ -511,6 +511,25 @@ def test_python_m_semiquandles_runs_the_cli():
     assert proc.stdout == "valid semiquandle of order 4\n"
 
 
+def test_stdout_does_not_depend_on_the_hash_seed():
+    # sets and dicts keyed by strings iterate in an order that changes
+    # with the hash seed of the process, so each verb runs in two
+    # processes with different seeds and must print the same bytes
+    src = str(Path(semiquandles.__file__).resolve().parent.parent)
+    calls = (["enumerate", "--n", "3", "--iso"], ["auto", "--table", "t4_sing", "--json"],
+             ["poly", "--table", "t4_sing", "--builtin", "triple_crazy_trefoil"],
+             ["moves-test", "--trials", "27", "--json"])
+    for argv in calls:
+        outs = []
+        for seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "semiquandles", *argv], capture_output=True,
+                timeout=60, env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1], argv
+
+
 @pytest.mark.parametrize("unbuffered", [True, False])
 def test_closed_stdout_pipe_exits_1_without_a_traceback(unbuffered):
     # order 4 streams 168 tables over a few hundred milliseconds, so the

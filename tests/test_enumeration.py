@@ -167,10 +167,8 @@ def test_column_checks_match_the_catalog_on_partial_tables():
     for _ in range(30):
         up, dn = ([[rng.randrange(n) if rng.random() < 0.7 else n for _ in range(n)] + [n]
                    for _ in range(n)] + [[n] * (n + 1)] for _ in range(2))
-        for _, arity, wait, holds in _FLAT_AXIOMS:
-            if wait is None:
-                continue
-            check = _column_check(holds, arity)
+        for _, arity, holds in _FLAT_AXIOMS:
+            check, _ = _column_check(holds, arity)
             for w in itertools.product(range(n), repeat=arity):
                 try:
                     want = holds(Guarded(up), Guarded(dn), *w)
@@ -179,6 +177,40 @@ def test_column_checks_match_the_catalog_on_partial_tables():
                     unknowns += 1
                 assert check(up, dn, n, *w) == want
     assert unknowns
+
+
+def test_each_flat_instance_reads_an_unknown_entry_before_its_filing_column():
+    # the column search files an instance under the largest witness value
+    # at the positions where its check reads a column of up; while only
+    # the columns before that one are set (up's columns and dn's rows
+    # from it on hold the unknown value n), the check returns None, so
+    # filing it any earlier would gain nothing
+    filing = {name: _column_check(holds, arity)[1] for name, arity, holds in _FLAT_AXIOMS}
+    assert filing == {"i": (0,), "ii.a": (0,), "ii.b": (1,),
+                      "iii.a": (1, 2), "iii.b": (1, 2), "iii.c": (1, 2)}
+    rng = random.Random(5)
+    n = 3
+    for _, arity, holds in _FLAT_AXIOMS:
+        check, columns = _column_check(holds, arity)
+        for w in itertools.product(range(n), repeat=arity):
+            c = max(w[k] for k in columns)
+            for _ in range(20):
+                up = [[rng.randrange(n) if b < c else n for b in range(n)] + [n]
+                      for _ in range(n)]
+                dn = [[rng.randrange(n) if a < c else n for _ in range(n)] + [n]
+                      for a in range(n)]
+                up.append([n] * (n + 1))
+                dn.append([n] * (n + 1))
+                assert check(up, dn, n, *w) is None
+
+
+def test_hat_compile_rejects_what_a_check_cannot_read():
+    # a hat table is read at constants of up and dn only, and each side
+    # of a check is a value of the extension
+    with pytest.raises(TypeError, match="hup read at a value of the extension"):
+        _hat_check(lambda up, dn, hup, hdn, x, y: hup[hup[x][y]][x] == hup[x][y], 2)
+    with pytest.raises(TypeError, match="compares values of the extension only"):
+        _hat_check(lambda up, dn, hup, hdn, x, y: up[x][y] == hup[x][y], 2)
 
 
 def test_order_outside_its_range_is_a_value_error():
@@ -260,7 +292,7 @@ def compiled_hat_instances(up, dn):
     axiom, check compiled as the hat search compiles it."""
     env = _hat_env(up, dn)
     return [(name, holds, w, _hat_check(holds, arity)(*env, *w))
-            for name, arity, _, holds in _HAT_AXIOMS
+            for name, arity, holds in _HAT_AXIOMS
             for w in itertools.product(range(len(up)), repeat=arity)]
 
 
