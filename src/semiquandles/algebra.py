@@ -263,20 +263,19 @@ class StructureBundle:
     def ops(self) -> Mapping[str, tuple]:
         """The bundle's operations as 0-based tables by name, built once.
 
-        Always `up`, `dn` and their column inverses `up_inv`, `dn_inv`
-        (axiom 0): up_inv[up[x][y]][y] == x.  `hup`, `hdn` only when the
-        bundle is singular, and the permutations `v`, `v_inv` only when it
-        is virtual; an absent extension has no entries.
+        Always `up`, `dn` and the column inverse `up_inv` of up (axiom 0),
+        which the singular-extension search reads: up_inv[up[x][y]][y] ==
+        x.  `hup`, `hdn` only when the bundle is singular, and the
+        permutation `v` only when it is virtual; an absent extension has
+        no entries.
         """
         ops = {"up": _zero_based(self.table.up), "dn": _zero_based(self.table.dn),
-               "up_inv": _zero_based(column_inverse(self.table.up)),
-               "dn_inv": _zero_based(column_inverse(self.table.dn))}
+               "up_inv": _zero_based(column_inverse(self.table.up))}
         if self.singular is not None:
             ops["hup"] = _zero_based(self.singular.hup)
             ops["hdn"] = _zero_based(self.singular.hdn)
         if self.virtual is not None:
             ops["v"] = tuple(x - 1 for x in self.virtual.v)
-            ops["v_inv"] = tuple(x - 1 for x in perm_inverse(self.virtual.v))
         return MappingProxyType(ops)
 
     @cached_property
@@ -496,9 +495,10 @@ def parse_table_text(text: str) -> StructureBundle:
 
     Line 1 is `semiquandle <n> [singular] [virtual]`, followed by
     whitespace-separated 1-based n x n blocks (up, dn, and hup/hdn when
-    singular), separated by blank lines, and a final `v: p1 ... pn` line
-    when virtual.  Raises StructureError on malformed text and AxiomError
-    when the tables fail an axiom.
+    singular), separated by blank lines, and one final `v: p1 ... pn`
+    line when virtual.  Raises StructureError on malformed text (a
+    repeated flag or a second `v:` line included) and AxiomError when the
+    tables fail an axiom.
     """
     lines = [ln.strip() for ln in text.strip().splitlines()]
     if not lines:
@@ -515,12 +515,17 @@ def parse_table_text(text: str) -> StructureBundle:
     flags = set(head[2:])
     if not flags <= {"singular", "virtual"}:
         raise StructureError(f"unknown flags {sorted(flags - {'singular', 'virtual'})}")
+    repeated = sorted(f for f in flags if head.count(f) > 1)
+    if repeated:
+        raise StructureError(f"repeated flags {repeated}")
     v = None
     rows = []
     for ln in lines[1:]:
         if not ln:
             continue
         if ln.startswith("v:"):
+            if v is not None:
+                raise StructureError("more than one 'v:' line")
             v = _int_tokens(ln[2:])
             continue
         rows.append(_int_tokens(ln))

@@ -102,6 +102,8 @@ def _emit(obj) -> None:
 def _cmd_verify(args) -> int:
     if bool(args.table) == bool(args.builtin):
         raise UsageError("give exactly one of --table, --builtin")
+    if args.builtin and args.builtin not in BUILTIN_BUNDLES:
+        raise UsageError(f"unknown builtin bundle {args.builtin!r}")
     spec = args.table or args.builtin
     try:
         bundle = _load_bundle(spec)
@@ -229,7 +231,7 @@ _OPTIONS = {
     "--table": dict(help="table file, or builtin bundle name"),
     "--presentation": dict(help="presentation file"),
     "--code": dict(help="pass code file"),
-    "--builtin": dict(help="builtin presentation or code name"),
+    "--builtin": dict(help="builtin presentation or code name (verify: builtin bundle name)"),
     "--n": dict(type=int, help="order to enumerate"),
     "--iso": dict(action="store_true", help="one representative per isomorphism class"),
     "--budget": dict(type=int, help="search-node budget (exit 3 when exceeded)"),

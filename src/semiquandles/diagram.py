@@ -70,11 +70,7 @@ class PassCode:
         return [p for c in self.components for p in c]
 
     def crossings(self) -> list:
-        seen = []
-        for p in self.passes():
-            if p.crossing not in seen:
-                seen.append(p.crossing)
-        return seen
+        return list(dict.fromkeys(p.crossing for p in self.passes()))
 
     def crossing_count(self, kind: Optional[str] = None) -> int:
         xs = self.crossings()

@@ -14,12 +14,12 @@ backtracking over the cells of hup in row-major order, values ascending,
 with hdn derived from axiom hi.a.  Each instance of the other hat axioms
 becomes a comparison of two entries of constant matrices read at one
 flat state; it is dropped when it reads at most two cells and holds at
-every value of them, else checked in one loop as soon as the last hup
-cell it reads is set.  Both searches build what they yield without the
-checks of the public constructors, and carry an explicit node budget
-(one candidate column tuple for semiquandles, a pruned block counting
-one per candidate in it; one value tried in one hup cell for
-extensions); exceeding it raises instead of truncating silently.
+every value of them, else checked as soon as the last hup cell it reads
+is set.  Both searches build what they yield without the checks of the
+public constructors, and carry an explicit node budget (one candidate
+column tuple for semiquandles, a pruned block counting one per
+candidate in it; one value tried in one hup cell for extensions);
+exceeding it raises instead of truncating silently.
 """
 
 from __future__ import annotations
@@ -313,11 +313,8 @@ def _hat_env(up: tuple, dn: tuple) -> tuple:
             m = matrices[vec] = tuple((v,) * size for v in vec)
         return m
     env = [up, dn, size - 1, matrix(tuple(range(size)))]
-    pads = []
     for t in (up, dn):
         pad = _padded(t)
-        pad = pads[0] if pads and pads[0] == pad else pad
-        pads.append(pad)
         env += [[matrix(row) for row in pad[1:]], [matrix(col) for col in zip(*pad)][1:], pad]
     return tuple(env)
 
@@ -400,10 +397,7 @@ def enumerate_singular_extensions(table: SemiquandleTable,
     reads is set, and a failing one prunes every table below that cell.
     Each row is frozen once, when its last entry is set, and shared by
     every extension below.  One node is one value tried in one cell,
-    counted against the budget.  The n values of the last cell are tried
-    in one loop while the budget holds at least n more nodes, and one at
-    a time otherwise, so that the budget stops the search at the same
-    node either way.
+    counted against the budget.
     """
     ops = StructureBundle(table).ops
     n = table.n
@@ -412,48 +406,37 @@ def enumerate_singular_extensions(table: SemiquandleTable,
     hup, hdn = [None] * n, [None] * n
     finish = [[(hdn if k >= n else hup, k % n, span) for k, span in cell] for cell in finish]
     last = n * n - 1
-    values = range(1, n + 1)
     # the leaves are proved: build them as _trusted does, without its
     # keyword dict
     new, setfield = object.__new__, object.__setattr__
     nodes = found = 0
     c = 0
     while c >= 0:
-        if c == last and not h[c] and nodes + n <= node_budget:
-            # every value of the last cell, in one loop
-            tries = values
-            nodes += n
-        else:
-            value = h[c] + 1
-            if value > n:
-                h[c] = 0
-                c -= 1
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                raise ResourceBudgetExceeded(nodes, found)
-            tries = (value,)
-        for value in tries:
-            h[c] = value
-            for t, m, i, j in derive[c]:
-                h[t] = m[h[i]][h[j]]
-            for left, a1, a2, right, b1, b2 in checks[c]:
-                if left[h[a1]][h[a2]] != right[h[b1]][h[b2]]:
-                    break
-            else:
-                for rows, k, span in finish[c]:
-                    rows[k] = tuple(h[span])
-                if c < last:
-                    c += 1      # tries held one value
-                else:
-                    found += 1
-                    leaf = new(SingularExtension)
-                    setfield(leaf, "hup", tuple(hup))
-                    setfield(leaf, "hdn", tuple(hdn))
-                    yield leaf
-        if tries is values:
+        value = h[c] + 1
+        if value > n:
             h[c] = 0
             c -= 1
+            continue
+        nodes += 1
+        if nodes > node_budget:
+            raise ResourceBudgetExceeded(nodes, found)
+        h[c] = value
+        for t, m, i, j in derive[c]:
+            h[t] = m[h[i]][h[j]]
+        for left, a1, a2, right, b1, b2 in checks[c]:
+            if left[h[a1]][h[a2]] != right[h[b1]][h[b2]]:
+                break
+        else:
+            for rows, k, span in finish[c]:
+                rows[k] = tuple(h[span])
+            if c < last:
+                c += 1
+            else:
+                found += 1
+                leaf = new(SingularExtension)
+                setfield(leaf, "hup", tuple(hup))
+                setfield(leaf, "hdn", tuple(hdn))
+                yield leaf
 
 
 def _conjugacy_classes(autos: list) -> list:

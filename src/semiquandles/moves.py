@@ -125,16 +125,6 @@ _TRIANGLE_MOVE = {"FFF": "fR3", "SFF": "sR3", "FSF": "sR3", "FFS": "sR3",
 _BITS = tuple(itertools.product((0, 1), repeat=3))
 
 
-def _triangle_tokens(families, keep) -> str:
-    """Space-separated kinds:firsts:prims tokens of the configurations
-    of the families that keep(kinds, firsts, prims) accepts, firsts and
-    prims as bit triples."""
-    return " ".join(f"{k}:{f0}{f1}{f2}:{p0}{p1}{p2}"
-                    for k in families
-                    for f0, f1, f2 in _BITS for p0, p1, p2 in _BITS
-                    if keep(k, (f0, f1, f2), (p0, p1, p2)))
-
-
 def _sound(kinds: str, f: tuple, p: tuple) -> bool:
     """Every configuration of a family with a virtual crossing is sound;
     one of flat and singular crossings exactly when p0^p1 = f1^f2 and
@@ -142,32 +132,28 @@ def _sound(kinds: str, f: tuple, p: tuple) -> bool:
     return "V" in kinds or (p[0] ^ p[1] == f[1] ^ f[2] and p[0] ^ p[2] == f[0] ^ f[2])
 
 
-# exactly the sound configurations of the catalog's families; the test
-# suite re-derives the set by exhaustive boundary-solution search
-_SOUND_TRIANGLES = _triangle_tokens(_TRIANGLE_MOVE, _sound)
-
 _CROSS_STRANDS = {"A": (0, 1), "B": (0, 2), "C": (1, 2)}
-_STRAND_CROSSINGS = {0: "AB", 1: "AC", 2: "BC"}
 
 
-def _triangles(tokens: str) -> list:
-    """(move, token, strands) of each kinds:firsts:prims token."""
+def _triangles(families, keep) -> list:
+    """(move, variant, strands) of each configuration of the families
+    that keep(kinds, firsts, prims) accepts, firsts and prims as bit
+    triples; the variant is the configuration's kinds:firsts:prims."""
     out = []
-    for token in tokens.split():
-        kinds, firsts, prims = token.split(":")
-        kind_of = dict(zip("ABC", kinds))
+    for kinds, firsts, prims in itertools.product(families, _BITS, _BITS):
+        if not keep(kinds, firsts, prims):
+            continue
         roles = {}
-        for cx, bit in zip("ABC", map(int, prims)):
+        for cx, kind, bit in zip("ABC", kinds, prims):
             pair = _CROSS_STRANDS[cx]
-            p, q = _ROLES[kind_of[cx]]
-            roles[(cx, pair[bit])] = p
-            roles[(cx, pair[1 - bit])] = q
+            roles[cx, pair[bit]], roles[cx, pair[1 - bit]] = _ROLES[kind]
         strands = []
         for s, first in enumerate(firsts):
-            xs = _STRAND_CROSSINGS[s]
-            strands.append(tuple((cx, kind_of[cx], roles[(cx, s)])
-                                 for cx in (xs if first == "0" else xs[::-1])))
-        out.append((_TRIANGLE_MOVE.get(kinds, "forbidden"), token, strands))
+            xs = [(cx, kind) for cx, kind in zip("ABC", kinds) if s in _CROSS_STRANDS[cx]]
+            strands.append(tuple((cx, kind, roles[cx, s])
+                                 for cx, kind in (xs[::-1] if first else xs)))
+        variant = "%s:%d%d%d:%d%d%d" % (kinds, *firsts, *prims)
+        out.append((_TRIANGLE_MOVE.get(kinds, "forbidden"), variant, strands))
     return out
 
 
@@ -199,10 +185,11 @@ _DELETES = {_canonical_descriptor(template): (move, variant, "delete")
 
 @functools.cache
 def _rewrites() -> dict:
-    """The sound triangles and direct slides.  This table and the two
+    """The sound triangles (the test suite re-derives them by exhaustive
+    boundary-solution search) and direct slides.  This table and the two
     below are built on first use, not at import, so that a command that
     matches no move does not pay for them."""
-    table = _expand_table(_triangles(_SOUND_TRIANGLES), "swap")
+    table = _expand_table(_triangles(_TRIANGLE_MOVE, _sound), "swap")
     table.update(_expand_table(_SLIDE_SIDES, "slide"))
     return table
 
@@ -211,8 +198,7 @@ def _rewrites() -> dict:
 def _forbidden() -> dict:
     """The forbidden flat-flat-virtual triangles, every role/order
     assignment; deliberately not merged into the rewrites."""
-    return _expand_table(
-        _triangles(_triangle_tokens(("FFV", "FVF", "VFF"), lambda *_: True)), "swap")
+    return _expand_table(_triangles(("FFV", "FVF", "VFF"), lambda *_: True), "swap")
 
 
 @functools.cache
@@ -347,25 +333,22 @@ def inverse_of(code_after: PassCode, m: MoveSpec) -> MoveSpec:
         if hit is None:
             raise MoveError(f"no rewrite pattern at {m.site} after {m.move}")
         return MoveSpec(hit[0], "apply", m.site, hit[1])
+    # an insert lands each segment two passes further per segment before
+    # it on its component; a delete collapses it as many back
+    step = 2 if m.direction == "insert" else -2
+    sites = tuple((ci, i + step * sum(1 for cj, j in m.site if cj == ci and j < i))
+                  for ci, i in m.site)
     if m.direction == "insert":
-        landed = []
-        for ci, i in m.site:
-            shift = 2 * sum(1 for cj, j in m.site if cj == ci and j < i)
-            landed.append((ci, i + shift))
-        return MoveSpec(m.move, "delete", tuple(landed), m.variant)
+        return MoveSpec(m.move, "delete", sites, m.variant)
     # delete: re-insert at the collapsed positions (crossing ids are
     # regenerated, so compare the round trip with canonical())
-    sites = []
-    for ci, i in m.site:
-        shift = 2 * sum(1 for cj, j in m.site if cj == ci and j < i)
-        sites.append((ci, i - shift))
     variant = m.variant
     if len(sites) == 2 and sites[0] == sites[1] and m.site[0] > m.site[1]:
         # adjacent segments collapse onto one site, where _insert lays
         # them in template order: take the variant listing them reversed
         reversed_template = _INSERTS[(m.move, m.variant)][::-1]
         variant = _DELETES[_canonical_descriptor(reversed_template)][1]
-    return MoveSpec(m.move, "insert", tuple(sites), variant)
+    return MoveSpec(m.move, "insert", sites, variant)
 
 
 def _listed(code: PassCode, inserts: dict, deletes: dict, rewrites: dict) -> list:

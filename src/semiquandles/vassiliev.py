@@ -6,13 +6,14 @@ term) and the gluing sum G (each crossing made singular, against a
 glued-kink base term).  Values live in the free abelian group on flat
 link classes; classes are represented soundly-but-incompletely by
 fingerprints of enhanced coloring invariants over a probe list of
-structure bundles, so a difference of sums certifies inequivalence
-while equality stays inconclusive.
+structure bundles, and a sum is a {Fingerprint: nonzero coefficient}
+dict, so a difference of sums certifies inequivalence while equality
+stays inconclusive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import StructureBundle
 from .diagram import (PassCode, CodeError, extract_relations, flatten,
@@ -39,38 +40,6 @@ class Fingerprint:
                          for b in probes))
 
 
-@dataclass(frozen=True)
-class FormalSum:
-    """Finitely supported integer combination of fingerprints."""
-
-    terms: tuple = ()      # sorted ((Fingerprint, coefficient), ...), no zeros
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FormalSum":
-        items = tuple(sorted(
-            ((fp, c) for fp, c in d.items() if c),
-            key=lambda item: item[0].polynomials))
-        return cls(items)
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
-    def __add__(self, other: "FormalSum") -> "FormalSum":
-        d = self.as_dict()
-        for fp, c in other.terms:
-            d[fp] = d.get(fp, 0) + c
-        return FormalSum.from_dict(d)
-
-    def __neg__(self) -> "FormalSum":
-        return FormalSum(tuple((fp, -c) for fp, c in self.terms))
-
-    def __sub__(self, other: "FormalSum") -> "FormalSum":
-        return self + (-other)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-
 def _classical_crossings(code: PassCode) -> list:
     """(cid, sign) for each classical crossing of a one-component code."""
     if len(code.components) != 1:
@@ -83,9 +52,10 @@ def _classical_crossings(code: PassCode) -> list:
 
 
 def _resolution_sum(code: PassCode, resolve, base: PassCode, probes,
-                    node_budget: int) -> FormalSum:
+                    node_budget: int) -> dict:
     """Over each classical crossing d, add sign(d)*(fingerprint of
-    resolve(code, d) minus fingerprint of base)."""
+    resolve(code, d) minus fingerprint of base), as {Fingerprint:
+    coefficient} without zero coefficients."""
     crossings = _classical_crossings(code)
     acc: dict = {}
     for cid, sign in crossings:
@@ -94,10 +64,10 @@ def _resolution_sum(code: PassCode, resolve, base: PassCode, probes,
     if crossings:
         fp = Fingerprint.of(base, probes, node_budget)
         acc[fp] = acc.get(fp, 0) - sum(sign for _, sign in crossings)
-    return FormalSum.from_dict(acc)
+    return {fp: c for fp, c in acc.items() if c}
 
 
-def s_sum(code: PassCode, probes, node_budget: int = NODE_BUDGET) -> FormalSum:
+def s_sum(code: PassCode, probes, node_budget: int = NODE_BUDGET) -> dict:
     """Smoothing sum: over each classical crossing d, add
     sign(d)*(fingerprint of the smoothing at d minus fingerprint of the
     flattened code with a disjoint unknot)."""
@@ -105,7 +75,7 @@ def s_sum(code: PassCode, probes, node_budget: int = NODE_BUDGET) -> FormalSum:
                            probes, node_budget)
 
 
-def g_sum(code: PassCode, probes, node_budget: int = NODE_BUDGET) -> FormalSum:
+def g_sum(code: PassCode, probes, node_budget: int = NODE_BUDGET) -> dict:
     """Gluing sum: over each classical crossing d, add
     sign(d)*(fingerprint of the code with d made singular minus
     fingerprint of the glued-kink base code).
@@ -120,8 +90,7 @@ def g_sum(code: PassCode, probes, node_budget: int = NODE_BUDGET) -> FormalSum:
     return _resolution_sum(code, glue_at, glue_kink(code), probes, node_budget)
 
 
-def _witnesses(label: str, a: FormalSum, b: FormalSum) -> list:
-    da, db = a.as_dict(), b.as_dict()
+def _witnesses(label: str, da: dict, db: dict) -> list:
     out = []
     for fp in sorted(set(da) | set(db), key=lambda f: f.polynomials):
         ca, cb = da.get(fp, 0), db.get(fp, 0)

@@ -69,6 +69,19 @@ def test_verify_usage_errors(capsys):
     assert rc == 2
 
 
+def test_verify_builtin_takes_bundle_names_only(tmp_path, capsys):
+    f = tmp_path / "t4s.txt"
+    f.write_text(T4_SING_TEXT)
+    for name in ("nope", str(f)):
+        rc, out, err = run(capsys, "verify", "--builtin", name)
+        assert rc == 2 and not out
+        assert err == f"usage error: unknown builtin bundle {name!r}\n"
+    # --table takes a file path or a builtin bundle name
+    for spec in (str(f), "t4_sing"):
+        rc, out, _ = run(capsys, "verify", "--table", spec)
+        assert rc == 0 and out == "valid semiquandle singular of order 4\n"
+
+
 def test_unreadable_file_is_usage_error(capsys):
     rc, _, err = run(capsys, "verify", "--table", "/nonexistent/table.txt")
     assert rc == 2 and "cannot read" in err
@@ -92,20 +105,23 @@ def test_verify_order_zero_is_invalid_input(tmp_path, capsys):
     assert len(out.splitlines()) == 1
 
 
-@pytest.mark.parametrize("text, witness", [
-    ("semiquandle 1 singular\n1\n\n1\n\n1\n\n1 1\n", "('hdn', 'row-length', 1)"),
+@pytest.mark.parametrize("text, message", [
+    ("semiquandle 1 singular\n1\n\n1\n\n1\n\n1 1\n", "structure@('hdn', 'row-length', 1)"),
     ("semiquandle 2 virtual\n1 1\n2 2\n\n1 1\n2 2\n\nv: 1 1\n",
-     "('v', 'not-a-permutation')"),
-    ("semiquandle 2\n1 1\n2 2\n\n1 1 1\n2 2\n", "('dn', 'row-length', 1)"),
-], ids=["hat", "v", "dn"])
-def test_verify_malformed_block_is_one_line_structure_error(tmp_path, capsys, text, witness):
+     "structure@('v', 'not-a-permutation')"),
+    ("semiquandle 2\n1 1\n2 2\n\n1 1 1\n2 2\n", "structure@('dn', 'row-length', 1)"),
+    ("semiquandle 2 virtual\n1 1\n2 2\n\n1 1\n2 2\n\nv: 2 1\nv: 1 2\n",
+     "more than one 'v:' line"),
+    ("semiquandle 1 virtual virtual\n1\n\n1\n\nv: 1\n", "repeated flags ['virtual']"),
+], ids=["hat", "v", "dn", "two-v-lines", "repeated-flag"])
+def test_verify_malformed_block_is_one_line_structure_error(tmp_path, capsys, text, message):
     f = tmp_path / "bad.txt"
     f.write_text(text)
     with pytest.raises(StructureError):
         parse_table_text(text)
     rc, out, err = run(capsys, "verify", "--table", str(f))
     assert rc == 1 and not err
-    assert out == f"invalid: {f}: structure@{witness}\n"
+    assert out == f"invalid: {f}: {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,14 @@ def test_parse_rejects_bad_occurrences():
         parse_code("bad line\n")
 
 
+def test_crossings_are_listed_once_in_first_appearance_order():
+    code = parse_code("comp: F2.sup F2.sub V1.v+\ncomp: F1.sup\n"
+                      "comp: V1.v- F1.sub S1.sup S1.sub\n")
+    assert code.crossings() == [("F", 2), ("V", 1), ("F", 1), ("S", 1)]
+    assert code.crossing_count() == 4 and code.crossing_count("F") == 2
+    assert unknot().crossings() == []
+
+
 def test_extract_relations_counts():
     # c flat+singular crossings and w virtual passes give 2c + w
     # relations and 2c + w generators

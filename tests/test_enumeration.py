@@ -358,6 +358,23 @@ def test_hat_search_plan_files_each_kept_check_under_its_last_cell():
             assert dropped == len(distinct) > 0 and not kept
 
 
+def test_hat_search_plans_are_pinned():
+    # regression value of the plans before the hat search tried one value
+    # per step and its arguments stopped sharing an equal dn with up: the
+    # derivations, kept checks and finished rows of the 31 classes of
+    # orders 1-4, in enumeration order, compared by content
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 5):
+        for table in enumerate_semiquandles(n, up_to_iso=True):
+            ops = StructureBundle(table).ops
+            digest.update(repr(_hat_search_plan(ops["up"], ops["dn"], ops["up_inv"])).encode())
+            count += 1
+    assert count == 31
+    assert digest.hexdigest() == (
+        "e19eef1dce8581e6b1b4c6cdffd45966e8a409f9997565fc9305218d2d1698de")
+
+
 def test_singular_extensions_and_budget_stops_are_pinned():
     # regression values of the search before its checks were compiled:
     # every extension, in order, of the 15 tables of order <= 3 and of

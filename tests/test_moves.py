@@ -23,7 +23,7 @@ from semiquandles.moves import (
     MOVE_IDS, MoveError, MoveSpec, apply_move, inverse_of, applicable_moves,
     canonical, random_code, run_move_trials,
     forbidden_sites, apply_forbidden, reverse_slide_sites, apply_reverse_slide,
-    _INSERTS, _SOUND_TRIANGLES, _moves_of,
+    _INSERTS, _TRIANGLE_MOVE, _moves_of, _sound, _triangles,
 )
 from semiquandles.present import enhanced_invariant
 
@@ -52,7 +52,8 @@ def _op(ops, kind, role):
     """The 0-based map (own color, other strand's color) -> output color
     of one pass, read from a bundle's compiled operations."""
     if kind == "V":
-        t = ops["v" if role == "v+" else "v_inv"]
+        v = ops["v"]
+        t = v if role == "v+" else {y: x for x, y in enumerate(v)}
         return lambda me, other: t[me]
     t = ops[{"F": {"sup": "up", "sub": "dn"},
              "S": {"sup": "hup", "sub": "hdn"}}[kind][role]]
@@ -153,7 +154,7 @@ def test_triangle_catalog_matches_exhaustive_boundary_search():
         return boundary_multiset(ORACLE_BUNDLES[b],
                                  triangle_strands(fam, firsts, prims))
 
-    catalog = set(_SOUND_TRIANGLES.split())
+    catalog = {variant for _, variant, _ in _triangles(_TRIANGLE_MOVE, _sound)}
     families = ("FFF", "SFF", "FSF", "FFS", "VVV", "FVV", "VFV", "VVF",
                 "SVV", "VSV", "VVS", "FFV", "FVF", "VFF")
     flip = str.maketrans("01", "10")
