@@ -59,7 +59,7 @@ def _raise_for(report: list) -> None:
 
 
 def _freeze(rows) -> tuple:
-    return tuple(tuple(int(v) for v in row) for row in rows)
+    return tuple(tuple(row) for row in rows)
 
 
 def _trusted(cls, **fields):
@@ -84,7 +84,7 @@ def _structure_report(name: str, rows, n: int) -> list:
             out.append(Violation("structure", (name, "row-length", i + 1)))
             return out
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not 1 <= v <= n:
+            if type(v) is not int or not 1 <= v <= n:
                 out.append(Violation("structure", (name, "entry", i + 1, j + 1)))
     return out
 
@@ -171,7 +171,8 @@ def check_singular(up, dn, hup, hdn) -> list:
 def check_virtual(up, dn, v, hup=None, hdn=None) -> list:
     """Report failures of v to be an automorphism of all present operations."""
     n = len(up)
-    if len(v) != n or sorted(v) != list(range(1, n + 1)):
+    if (len(v) != n or any(type(x) is not int for x in v)
+            or sorted(v) != list(range(1, n + 1))):
         return [Violation("structure", ("v", "not-a-permutation"))]
     named = [(name, t) for name, t in zip(("up", "dn", "hup", "hdn"), (up, dn, hup, hdn))
              if t is not None]
@@ -213,7 +214,7 @@ class VirtualExtension:
     v: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "v", tuple(int(x) for x in self.v))
+        object.__setattr__(self, "v", tuple(self.v))
 
     @property
     def n(self) -> int:
@@ -263,14 +264,11 @@ class StructureBundle:
     def ops(self) -> Mapping[str, tuple]:
         """The bundle's operations as 0-based tables by name, built once.
 
-        Always `up`, `dn` and the column inverse `up_inv` of up (axiom 0),
-        which the singular-extension search reads: up_inv[up[x][y]][y] ==
-        x.  `hup`, `hdn` only when the bundle is singular, and the
-        permutation `v` only when it is virtual; an absent extension has
-        no entries.
+        Always `up` and `dn`, `hup` and `hdn` only when the bundle is
+        singular, and the permutation `v` only when it is virtual; an
+        absent extension has no entries.
         """
-        ops = {"up": _zero_based(self.table.up), "dn": _zero_based(self.table.dn),
-               "up_inv": _zero_based(column_inverse(self.table.up))}
+        ops = {"up": _zero_based(self.table.up), "dn": _zero_based(self.table.dn)}
         if self.singular is not None:
             ops["hup"] = _zero_based(self.singular.hup)
             ops["hdn"] = _zero_based(self.singular.hdn)

@@ -6,20 +6,21 @@ function by evaluating it once over symbolic tables, and each search
 gives it a hook that says what a read and a comparison become there.
 Semiquandles of order n are found by a depth-first search that sets the
 columns of the up table to permutations (axiom 0 demands exactly that),
-derives the dn table from axiom ii.a, and checks every other instance on
-tables that hold a padding value where an entry is not known yet, from
-the column its reads derive on; of each survivor it checks only that the
-columns of dn are permutations.  Singular extensions are found by
-backtracking over the cells of hup in row-major order, values ascending,
-with hdn derived from axiom hi.a.  Each instance of the other hat axioms
-becomes a comparison of two entries of constant matrices read at one
-flat state; it is dropped when it reads at most two cells and holds at
-every value of them, else checked as soon as the last hup cell it reads
-is set.  Both searches build what they yield without the checks of the
-public constructors, and carry an explicit node budget (one candidate
-column tuple for semiquandles, a pruned block counting one per
-candidate in it; one value tried in one hup cell for extensions);
-exceeding it raises instead of truncating silently.
+reads dn through axiom ii.a from the column inverses of up, and checks
+every other instance on up and its inverses, which hold a padding value
+where an entry is not known yet, from the column its reads derive on; of
+each survivor it checks only that the columns of dn are permutations.
+Singular extensions are found by backtracking over the cells of hup in
+row-major order, values ascending, with hdn derived from axiom hi.a.
+Each instance of the other hat axioms becomes a comparison of two
+entries of constant matrices read at one flat state; it is dropped when
+it reads at most two cells and holds at every value of them, else
+checked as soon as the last hup cell it reads is set.  Both searches
+build what they yield without the checks of the public constructors, and
+carry an explicit node budget (one candidate column tuple for
+semiquandles, a pruned block counting one per candidate in it; one value
+tried in one hup cell for extensions); exceeding it raises instead of
+truncating silently.
 """
 
 from __future__ import annotations
@@ -118,27 +119,32 @@ def _generated(holds, arity: int, head: str, tables, hook, lines: dict, guard=tu
 @functools.cache
 def _column_check(holds, arity: int):
     """The flat axiom holds(up, dn, *witness) as one generated function
-    of (up, dn, u, *witness) over tables padded with an unknown value u,
-    and the witness positions that index a column it reads.  The function
-    gives None when a read is u, else whether the instance holds.  Row u
-    and column u of both tables hold u, so an unknown read makes every
-    read that uses it u too: only the reads no other read uses are tested.
-    up[a][b] reads column b and dn[a][b] column a (row a of dn is set with
-    column a), so the instance reads u until the largest witness value at
-    those positions is a set column, where the search files it."""
+    of (up, invs, u, *witness) over the table up and its column inverses
+    invs (invs[c][v] = the r with up[r][c] = v), padded with an unknown
+    value u, and the witness positions that index a column of up it reads.
+    dn is read through axiom ii.a: dn[a][b] is invs[up[b][a]][a].  The
+    function gives None when a read is u, else whether the instance holds.
+    Row u and column u of up, row u of invs and column u of each of its
+    rows hold u, so an unknown read makes every read that uses it u too:
+    only the reads no other read uses are tested.  The instance reads u
+    until the largest witness value at those positions is a set column,
+    where the search files it."""
     lines, used, columns = {}, set(), set()
 
     def read(t, a, b):
         if t is None:
             return _Term(read, f"({a.text} == {b.text})")
+        if t == "dn":
+            t, a, b = "invs", read("up", b, a), a
+        else:
+            columns.add(b.text)
         used.update((a.text, b.text))
-        columns.add((b if t == "up" else a).text)
         return _Term(read, lines.setdefault(f"{t}[{a.text}][{b.text}]", f"r{len(lines)}"))
 
     def guard():
         outer = " or ".join(f"{v} == u" for v in lines.values() if v not in used)
         return f"    if {outer}:", "        return None"
-    check = _generated(holds, arity, "up, dn, u", ("up", "dn"), read, lines, guard)
+    check = _generated(holds, arity, "up, invs, u", ("up", "dn"), read, lines, guard)
     return check, tuple(k for k, v in enumerate("xyz"[:arity]) if v in columns)
 
 
@@ -148,108 +154,85 @@ def enumerate_semiquandles(n: int, up_to_iso: bool = False,
 
     A depth-first search sets the columns of up in order, each to the
     permutations in itertools.permutations order, so tables come out in
-    the order of a product over all candidate column tuples.  dn is read
-    through axiom ii, so dn[a][b] is known once columns a and up[b][a]
-    are set.  Each instance of the axioms is checked once every entry it
-    reads is known, and a failing one prunes every candidate below the
-    column just set.  A candidate that reaches the last column has
-    passed every instance, and ii.a holds by the derivation of dn, so it
-    is kept when the columns of dn are permutations (axiom 0).  One node
-    is one candidate column tuple, counted against the budget whether it
-    is checked or pruned with its block, so the budget is exceeded at the
-    same candidate, with the same tables yielded, as when every candidate
-    is checked.  With up_to_iso, one representative per isomorphism class
-    is yielded (the first in enumeration order).
+    the order of a product over all candidate column tuples.  Its only
+    state is up and up's column inverses: dn[a][b] is read through axiom
+    ii.a as the row of column up[b][a] that holds a.  Each instance of the
+    axioms is checked once every entry it reads is known, and a failing
+    one prunes every candidate below the column just set.  A candidate
+    that reaches the last column has passed every instance and ii.a, so
+    it is kept when the columns of dn are permutations (axiom 0).  One
+    node is one candidate column tuple, counted whether it is checked or
+    pruned with its block, so the budget is exceeded at the same
+    candidate, with the same tables yielded, as when every candidate is
+    checked; order 5 needs (5!)^5 nodes for its 2,640 tables.  With
+    up_to_iso, one representative per isomorphism class is yielded (the
+    first in enumeration order).
     """
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be from 1 to {MAX_ORDER}, got {n}")
-    # up, dn and the column inverses of up as 0-based tables padded with
-    # the value n: an entry not known yet holds n, and so do row n and
-    # column n, so a read at an unknown value is unknown too
+    # up and its column inverses as 0-based tables padded with the value
+    # n: an entry not known yet holds n, and so do row n and column n, so
+    # a read at an unknown value is unknown too
     up = [[n] * (n + 1) for _ in range(n + 1)]
-    dn = [[n] * (n + 1) for _ in range(n + 1)]
     unknown = [n] * (n + 1)
     invs = [unknown] * (n + 1)      # invs[c][v] = the r with up[r][c] = v
-
-    # waiting[c]: the checks to run once column c is set, each an axiom
-    # instance first filed under the column _column_check derives for it
-    # (a lower bound on where it is decided) and retried at the next
-    # column while it reads an unknown entry.  The choices for column c
-    # append only to waiting[c + 1], and marks[c] holds its length from
-    # before them, so each choice, and the way back from c, truncates it
-    # back.  waiting[n] stays empty: all is known after the last column.
-    waiting = [[] for _ in range(n + 1)]
+    # filed[c]: the instances _column_check files under column c
+    filed = [[] for _ in range(n)]
     for axiom, w in _instances(_FLAT_AXIOMS, n, "ii.a"):
         check, columns = _column_check(axiom, len(w))
-        waiting[max(w[k] for k in columns)].append(functools.partial(check, up, dn, n, *w))
-    # hooks[c]: the entries (a, b) of dn with a < c and up[b][a] == c,
-    # known once column c is set
-    hooks = [[] for _ in range(n)]
+        filed[max(w[k] for k in columns)].append(functools.partial(check, up, invs, n, *w))
     below = [math.factorial(n) ** (n - 1 - c) for c in range(n)]
-    choices = [None] * n
-    marks = [None] * n
     nodes = found = 0
     seen = set()
-    depth = 0
-    choices[0] = itertools.permutations(range(n))
-    marks[0] = len(waiting[1])
-    while depth >= 0:
-        column = next(choices[depth], None)
-        later = waiting[depth + 1]
-        del later[marks[depth]:]
-        if column is None:
-            for row in up:
-                row[depth] = n
-            for a, b in hooks[depth]:
-                dn[a][b] = n
-            dn[depth] = list(unknown)
-            invs[depth] = unknown
-            depth -= 1
-            continue
-        inverse = list(unknown)
-        for row, v in enumerate(column):
-            inverse[v] = row
-            up[row][depth] = v
-        invs[depth] = inverse
-        for a, b in hooks[depth]:
-            dn[a][b] = inverse[a]
-        dn[depth][:n] = [invs[v][depth] for v in column]
-        holds = True
-        for check in waiting[depth]:
-            held = check()
-            if held is None:
-                later.append(check)
-            elif not held:
-                holds = False
-                break
-        if holds and depth + 1 < n:
-            depth += 1
-            hooks[depth] = [(a, b) for a in range(depth) for b in range(n)
-                            if up[b][a] == depth]
-            choices[depth] = itertools.permutations(range(n))
-            marks[depth] = len(waiting[depth + 1])
-            continue
-        nodes += below[depth]
-        if nodes > node_budget:
-            # counting one candidate at a time passes the budget at
-            # this candidate, and a pruned block yields nothing
-            raise ResourceBudgetExceeded(max(node_budget, 0) + 1, found)
-        if not holds:
-            continue
-        dn_rows = tuple(tuple(v + 1 for v in row[:n]) for row in dn[:n])
-        # axiom 0 for dn is the one left: up's holds by construction, ii.a
-        # by the derivation of dn, and every other instance has held
-        if any(len(set(column)) < n for column in zip(*dn_rows)):
-            continue
-        up_rows = tuple(tuple(v + 1 for v in row[:n]) for row in up[:n])
-        table = _trusted(SemiquandleTable, up=up_rows, dn=dn_rows)
-        if up_to_iso:
-            key = CanonicalForm.of(table)
-            if key in seen:
+
+    def search(c, pending):
+        # set column c to each permutation and run the pending checks:
+        # those filed under c, then those still unknown above it, retried
+        # at the next column; all is known after the last column
+        nonlocal nodes, found
+        for column in itertools.permutations(range(n)):
+            inverse = list(unknown)
+            for row, v in enumerate(column):
+                inverse[v] = row
+                up[row][c] = v
+            invs[c] = inverse
+            holds, retried = True, []
+            for check in pending:
+                held = check()
+                if held is None:
+                    retried.append(check)
+                elif not held:
+                    holds = False
+                    break
+            if holds and c + 1 < n:
+                yield from search(c + 1, filed[c + 1] + retried)
                 continue
-            seen.add(key)
-        found += 1
-        yield table
+            nodes += below[c]
+            if nodes > node_budget:
+                # counting one candidate at a time passes the budget at
+                # this candidate, and a pruned block yields nothing
+                raise ResourceBudgetExceeded(max(node_budget, 0) + 1, found)
+            if not holds:
+                continue
+            dn = tuple(tuple(invs[up[b][a]][a] + 1 for b in range(n)) for a in range(n))
+            # axiom 0 for dn is the one left: up's holds by construction,
+            # ii.a by the derivation of dn, and every other instance has held
+            if any(len(set(column)) < n for column in zip(*dn)):
+                continue
+            up_rows = tuple(tuple(v + 1 for v in row[:n]) for row in up[:n])
+            table = _trusted(SemiquandleTable, up=up_rows, dn=dn)
+            if up_to_iso:
+                key = CanonicalForm.of(table)
+                if key in seen:
+                    continue
+                seen.add(key)
+            found += 1
+            yield table
+        for row in up:
+            row[c] = n
+        invs[c] = unknown
+
+    yield from search(0, filed[0])
 
 
 def _padded(t) -> tuple:
@@ -319,7 +302,7 @@ def _hat_env(up: tuple, dn: tuple) -> tuple:
     return tuple(env)
 
 
-def _hat_search_plan(up: tuple, dn: tuple, up_inv: tuple) -> tuple:
+def _hat_search_plan(up: tuple, dn: tuple) -> tuple:
     """The hat search over the 0-based tables up, dn, filed per hup cell.
 
     The search sets hup[x][y] at step x*n + y, and derives hdn[a][b] once
@@ -329,14 +312,17 @@ def _hat_search_plan(up: tuple, dn: tuple, up_inv: tuple) -> tuple:
     L[h[a1]][h[a2]] == R[h[b1]][h[b2]]; and the rows (k, span) finished
     there, row k of hup (k < n) or hdn being h[span].  Each instance is
     compiled by the generated function of its axiom.  Duplicate checks
-    and checks of two equal sides are dropped, and so is each check that
-    reads at most two hup cells and holds at every value of them (an hdn
-    entry read counts as the two cells it is derived from): trying each
-    value proves it, and it could never prune.
+    are dropped, and so is each check that reads at most two hup cells
+    and holds at every value of them (an hdn entry read counts as the two
+    cells it is derived from): trying each value proves it, and it could
+    never prune.  A check of two equal sides is one of them.
     """
     n = len(up)
     cells = n * n
     r = range(n)
+    up_inv = [[0] * n for _ in r]       # up_inv[up[x][y]][y] = x (axiom 0)
+    for x, y in itertools.product(r, r):
+        up_inv[up[x][y]][y] = x
     # axiom hi.a: hdn[a][b] = up_inv[hup[dn[a][b]][up[b][a]]][hup[b][a]]
     sources = [(dn[a][b] * n + up[b][a], b * n + a) for a in r for b in r]
     # bit c of reads[i] is set when h[i] is read from hup cell c
@@ -356,7 +342,7 @@ def _hat_search_plan(up: tuple, dn: tuple, up_inv: tuple) -> tuple:
     for axiom, w in _instances(_HAT_AXIOMS, n, "hi.a"):
         left, a1, a2, right, b1, b2 = check = _hat_check(axiom, len(w))(*env, *w)
         key = (id(left), a1, a2, id(right), b1, b2)
-        if key in seen or left is right and a1 == b1 and a2 == b2:
+        if key in seen:
             continue
         seen.add(key)
         read = reads[a1] | reads[a2] | reads[b1] | reads[b2]
@@ -399,9 +385,8 @@ def enumerate_singular_extensions(table: SemiquandleTable,
     every extension below.  One node is one value tried in one cell,
     counted against the budget.
     """
-    ops = StructureBundle(table).ops
     n = table.n
-    derive, checks, finish = _hat_search_plan(ops["up"], ops["dn"], ops["up_inv"])
+    derive, checks, finish = _hat_search_plan(_zero_based(table.up), _zero_based(table.dn))
     h = [0] * (2 * n * n)
     hup, hdn = [None] * n, [None] * n
     finish = [[(hdn if k >= n else hup, k % n, span) for k, span in cell] for cell in finish]

@@ -9,7 +9,7 @@ from semiquandles.algebra import (
     _FLAT_AXIOMS, _HAT_AXIOMS,
     AxiomError, StructureError,
     SemiquandleTable, SingularExtension, VirtualExtension, StructureBundle,
-    check_semiquandle, check_singular, check_virtual,
+    check_semiquandle, check_singular, check_virtual, column_inverse,
     subclosure, automorphisms,
     make_constant_action, make_operator_singular, make_flat_singular,
     trivial_singular, identity_perm, perm_from_cycles, perm_inverse,
@@ -170,6 +170,22 @@ def test_bundle_rejects_order_mismatch():
         StructureBundle(T4.table, trivial_singular(3))
 
 
+def test_constructors_reject_non_integer_entries():
+    # an entry is taken as given, never coerced, so 1.9, "1" and True are
+    # not read as the order-1 table's entry 1
+    with pytest.raises(StructureError):
+        SemiquandleTable(((1.9,),), (("1",),))
+    with pytest.raises(StructureError):
+        SemiquandleTable(((True,),), ((1,),))
+    one = SemiquandleTable(((1,),), ((1,),))
+    with pytest.raises(StructureError):
+        StructureBundle(one, SingularExtension(((1.0,),), ((1,),)))
+    with pytest.raises(StructureError):
+        StructureBundle(one, virtual=VirtualExtension(("1",)))
+    with pytest.raises(StructureError):
+        StructureBundle(T4.table, virtual=VirtualExtension(("1", 2, 3, 4)))
+
+
 def test_table_rejects_non_permutation_columns():
     with pytest.raises((AxiomError, StructureError)):
         SemiquandleTable(((1, 1), (1, 1)), ((1, 2), (2, 1)))
@@ -180,7 +196,7 @@ def test_compiled_operations_are_zero_based_tables_of_present_extensions():
         b = builtin_bundle(name)
         ops = b.ops
         assert ops is b.ops
-        want = {"up", "dn", "up_inv"}
+        want = {"up", "dn"}
         blocks = {"up": b.table.up, "dn": b.table.dn}
         if b.has_singular:
             want |= {"hup", "hdn"}
@@ -191,8 +207,9 @@ def test_compiled_operations_are_zero_based_tables_of_present_extensions():
         assert set(ops) == want
         for op, block in blocks.items():
             assert ops[op] == tuple(tuple(x - 1 for x in row) for row in block)
-        t, inv = ops["up"], ops["up_inv"]
-        assert all(inv[t[x][y]][y] == x for x in range(b.n) for y in range(b.n))
+        t, inv = b.table.up, column_inverse(b.table.up)
+        r = range(b.n)
+        assert all(inv[t[x][y] - 1][y] == x + 1 for x in r for y in r)
 
 
 def test_subclosure_is_closed_and_minimal():

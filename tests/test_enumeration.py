@@ -141,10 +141,23 @@ def test_canonical_form_is_relabeling_invariant():
     assert CanonicalForm.of(SemiquandleTable(re_up, re_dn)) == CanonicalForm.of(t)
 
 
+def partial_up(rng, n, columns):
+    """up padded with the unknown value n and its column inverses (invs[c]
+    the unknown row n, n, ... while column c is unknown), the columns of
+    up in columns set to random permutations."""
+    up = [[n] * (n + 1) for _ in range(n + 1)]
+    invs = [[n] * (n + 1) for _ in range(n + 1)]
+    for c in columns:
+        for r, v in enumerate(rng.sample(range(n), n)):
+            up[r][c] = v
+            invs[c][v] = r
+    return up, invs
+
+
 def test_column_checks_match_the_catalog_on_partial_tables():
-    # over tables padded with the unknown value n, a generated check gives
-    # None exactly when its predicate reads an unknown entry, and
-    # otherwise the predicate's value
+    # over up padded with the unknown value n and its column inverses, a
+    # generated check gives None exactly when its predicate reads an
+    # unknown entry, and otherwise the predicate's value
     class Unknown(Exception):
         pass
 
@@ -165,8 +178,11 @@ def test_column_checks_match_the_catalog_on_partial_tables():
     n = 3
     unknowns = 0
     for _ in range(30):
-        up, dn = ([[rng.randrange(n) if rng.random() < 0.7 else n for _ in range(n)] + [n]
-                   for _ in range(n)] + [[n] * (n + 1)] for _ in range(2))
+        up, invs = partial_up(rng, n, [c for c in range(n) if rng.random() < 0.7])
+        # axiom ii.a: dn[a][b] is the row r with up[r][up[b][a]] == a,
+        # unknown while column a or column up[b][a] is
+        dn = [[next((r for r in range(n) if up[r][up[b][a]] == a), n) for b in range(n)]
+              for a in range(n)]
         for _, arity, holds in _FLAT_AXIOMS:
             check, _ = _column_check(holds, arity)
             for w in itertools.product(range(n), repeat=arity):
@@ -175,16 +191,16 @@ def test_column_checks_match_the_catalog_on_partial_tables():
                 except Unknown:
                     want = None
                     unknowns += 1
-                assert check(up, dn, n, *w) == want
+                assert check(up, invs, n, *w) == want
     assert unknowns
 
 
 def test_each_flat_instance_reads_an_unknown_entry_before_its_filing_column():
     # the column search files an instance under the largest witness value
     # at the positions where its check reads a column of up; while only
-    # the columns before that one are set (up's columns and dn's rows
-    # from it on hold the unknown value n), the check returns None, so
-    # filing it any earlier would gain nothing
+    # the columns before that one are set (up's columns from it on hold
+    # the unknown value n, and so does each dn entry read through them),
+    # the check returns None, so filing it any earlier would gain nothing
     filing = {name: _column_check(holds, arity)[1] for name, arity, holds in _FLAT_AXIOMS}
     assert filing == {"i": (0,), "ii.a": (0,), "ii.b": (1,),
                       "iii.a": (1, 2), "iii.b": (1, 2), "iii.c": (1, 2)}
@@ -195,13 +211,8 @@ def test_each_flat_instance_reads_an_unknown_entry_before_its_filing_column():
         for w in itertools.product(range(n), repeat=arity):
             c = max(w[k] for k in columns)
             for _ in range(20):
-                up = [[rng.randrange(n) if b < c else n for b in range(n)] + [n]
-                      for _ in range(n)]
-                dn = [[rng.randrange(n) if a < c else n for _ in range(n)] + [n]
-                      for a in range(n)]
-                up.append([n] * (n + 1))
-                dn.append([n] * (n + 1))
-                assert check(up, dn, n, *w) is None
+                up, invs = partial_up(rng, n, range(c))
+                assert check(up, invs, n, *w) is None
 
 
 def test_hat_compile_rejects_what_a_check_cannot_read():
@@ -324,7 +335,8 @@ def test_hat_search_plan_files_each_kept_check_under_its_last_cell():
     for table in HAT_TABLES:
         n = table.n
         ops = StructureBundle(table).ops
-        up, dn, up_inv = ops["up"], ops["dn"], ops["up_inv"]
+        up, dn = ops["up"], ops["dn"]
+        up_inv = algebra._zero_based(column_inverse(table.up))
         # hup[x][y] is cell x*n + y; hdn[a][b] is derived from two of them
         sources = [(dn[a][b] * n + up[b][a], b * n + a) for a in range(n) for b in range(n)]
         cells_of = [{i} for i in range(n * n)] + [set(s) for s in sources]
@@ -342,7 +354,7 @@ def test_hat_search_plan_files_each_kept_check_under_its_last_cell():
 
         distinct = {check for name, _, _, check in compiled_hat_instances(up, dn)
                     if name != "hi.a" and check[:3] != check[3:]}
-        _, checks, _ = _hat_search_plan(up, dn, up_inv)
+        _, checks, _ = _hat_search_plan(up, dn)
         assert [len(set(cell)) for cell in checks] == [len(cell) for cell in checks]
         kept = {check: c for c, cell in enumerate(checks) for check in cell}
         assert set(kept) <= distinct
@@ -368,7 +380,7 @@ def test_hat_search_plans_are_pinned():
     for n in range(1, 5):
         for table in enumerate_semiquandles(n, up_to_iso=True):
             ops = StructureBundle(table).ops
-            digest.update(repr(_hat_search_plan(ops["up"], ops["dn"], ops["up_inv"])).encode())
+            digest.update(repr(_hat_search_plan(ops["up"], ops["dn"])).encode())
             count += 1
     assert count == 31
     assert digest.hexdigest() == (
