@@ -197,6 +197,9 @@ class SemiquandleTable:
 
 @dataclass(frozen=True)
 class SingularExtension:
+    """The tables hup and hdn, not checked here: a StructureBundle built
+    from them checks them against its table."""
+
     hup: tuple
     hdn: tuple
 
@@ -211,6 +214,9 @@ class SingularExtension:
 
 @dataclass(frozen=True)
 class VirtualExtension:
+    """The permutation v, not checked here: a StructureBundle built from
+    it checks it against its table."""
+
     v: tuple
 
     def __post_init__(self):

@@ -225,19 +225,22 @@ def _fresh_cid(code: PassCode, kind: str) -> int:
 def flatten(code: PassCode) -> PassCode:
     """Forget over/under and signs: over-passes become sup, under-passes
     sub; virtual passes are preserved; crossing ids are kept."""
+    return _resolved(code, None)
+
+
+def _resolved(code: PassCode, glued: Optional[int]) -> PassCode:
+    """Each classical crossing made flat, but the one of id glued made
+    singular; over-passes become sup, under-passes sub."""
     flat_ids = {cid for k, cid in code.crossings() if k == FLAT}
-    comps = []
-    for comp in code.components:
-        out = []
-        for p in comp:
-            if p.kind == CLASSICAL:
-                if p.cid in flat_ids:
-                    raise CodeError(f"flatten would collide C{p.cid} with F{p.cid}")
-                out.append(Pass(FLAT, p.cid, "sup" if p.role == "over" else "sub"))
-            else:
-                out.append(p)
-        comps.append(tuple(out))
-    return PassCode(tuple(comps))
+
+    def resolve(p):
+        if p.kind != CLASSICAL:
+            return p
+        if p.cid != glued and p.cid in flat_ids:
+            raise CodeError(f"flatten would collide C{p.cid} with F{p.cid}")
+        return Pass(SING if p.cid == glued else FLAT, p.cid,
+                    "sup" if p.role == "over" else "sub")
+    return PassCode(tuple(tuple(map(resolve, comp)) for comp in code.components))
 
 
 def _classical_self_crossing(code: PassCode, cid: int):
@@ -271,21 +274,12 @@ def smooth_at(code: PassCode, cid: int) -> PassCode:
 def glue_at(code: PassCode, cid: int) -> PassCode:
     """Make classical crossing cid singular (over -> sup, under -> sub) and
     flatten everything else."""
-    if not any(p.kind == CLASSICAL and p.cid == cid for p in code.passes()):
+    crossings = code.crossings()
+    if (CLASSICAL, cid) not in crossings:
         raise CodeError(f"no classical crossing C{cid}")
-    sing_ids = {c for k, c in code.crossings() if k == SING}
-    if cid in sing_ids:
+    if (SING, cid) in crossings:
         raise CodeError(f"glue would collide C{cid} with S{cid}")
-    comps = []
-    for comp in code.components:
-        out = []
-        for p in comp:
-            if p.kind == CLASSICAL and p.cid == cid:
-                out.append(Pass(SING, cid, "sup" if p.role == "over" else "sub"))
-            else:
-                out.append(p)
-        comps.append(tuple(out))
-    return flatten(PassCode(tuple(comps)))
+    return _resolved(code, cid)
 
 
 def glue_kink(code: PassCode) -> PassCode:

@@ -314,8 +314,10 @@ def _hat_search_plan(up: tuple, dn: tuple) -> tuple:
     compiled by the generated function of its axiom.  Duplicate checks
     are dropped, and so is each check that reads at most two hup cells
     and holds at every value of them (an hdn entry read counts as the two
-    cells it is derived from): trying each value proves it, and it could
-    never prune.  A check of two equal sides is one of them.
+    cells it is derived from), since it could never prune.  The proof
+    sets those cells to each value on a scratch h as the search does,
+    deriving hdn through the same derivations, and tests the check
+    itself.  A check of two equal sides is one of them.
     """
     n = len(up)
     cells = n * n
@@ -325,8 +327,8 @@ def _hat_search_plan(up: tuple, dn: tuple) -> tuple:
         up_inv[up[x][y]][y] = x
     # axiom hi.a: hdn[a][b] = up_inv[hup[dn[a][b]][up[b][a]]][hup[b][a]]
     sources = [(dn[a][b] * n + up[b][a], b * n + a) for a in r for b in r]
-    # bit c of reads[i] is set when h[i] is read from hup cell c
-    reads = [*(1 << i for i in range(cells)), *((1 << i) | (1 << j) for i, j in sources)]
+    # reads[i]: the hup cells h[i] is read from
+    reads = [*({i} for i in range(cells)), *({i, j} for i, j in sources)]
     derive = [[] for _ in range(cells)]
     inverse = _padded(up_inv)
     for t, (i, j) in enumerate(sources, cells):
@@ -334,40 +336,33 @@ def _hat_search_plan(up: tuple, dn: tuple) -> tuple:
     env = _hat_env(up, dn)
     checks = [[] for _ in range(cells)]
     seen = set()
-    # values[read][i]: the values h[i] takes as the one or two cells of
-    # read take every value, in product order
-    values = {}
-    one = range(1, n + 1)
-    two = [*zip(*itertools.product(one, repeat=2))]
+    h = [0] * (2 * cells)       # a scratch state of the search
+
+    def holds_throughout(check, read):
+        # set the first cell read to each value as the search does,
+        # deriving hdn, then the others
+        c, rest = read[0], read[1:]
+        left, a1, a2, right, b1, b2 = check
+        for h[c] in range(1, n + 1):
+            for t, m, i, j in derive[c]:
+                h[t] = m[h[i]][h[j]]
+            if not (holds_throughout(check, rest) if rest else
+                    left[h[a1]][h[a2]] == right[h[b1]][h[b2]]):
+                return False
+        return True
     for axiom, w in _instances(_HAT_AXIOMS, n, "hi.a"):
         left, a1, a2, right, b1, b2 = check = _hat_check(axiom, len(w))(*env, *w)
         key = (id(left), a1, a2, id(right), b1, b2)
         if key in seen:
             continue
         seen.add(key)
-        read = reads[a1] | reads[a2] | reads[b1] | reads[b2]
-        rest = read & (read - 1)        # read without its first cell
-        if not rest & (rest - 1):       # so at most two cells
-            at = values.get(read)
-            if at is None:
-                c = (read ^ rest).bit_length() - 1
-                at = values[read] = ({c: one} if not rest else
-                                     {c: two[0], rest.bit_length() - 1: two[1]})
-            for i in (a1, a2, b1, b2):
-                if i not in at:
-                    p, q = sources[i - cells]
-                    at[i] = [inverse[x][y] for x, y in zip(at[p], at[q])]
-            x, y, u, v = at[a1], at[a2], at[b1], at[b2]
-            for k in range(len(x)):
-                if left[x[k]][y[k]] != right[u[k]][v[k]]:
-                    break
-            else:
-                continue
-        checks[read.bit_length() - 1].append(check)
+        read = sorted(reads[a1] | reads[a2] | reads[b1] | reads[b2])
+        if len(read) > 2 or not holds_throughout(check, read):
+            checks[read[-1]].append(check)
     finish = [[] for _ in range(cells)]
     for k in range(2 * n):
         span = slice(k * n, k * n + n)
-        finish[max(reads[span]).bit_length() - 1].append((k, span))
+        finish[max(map(max, reads[span]))].append((k, span))
     return derive, checks, finish
 
 

@@ -34,7 +34,8 @@ import random
 from dataclasses import dataclass
 
 from .diagram import (_ROLES, FLAT, SING, VIRT, Pass, PassCode,
-                      component_text)
+                      component_text, extract_relations)
+from .present import enhanced_invariant
 
 MOVE_IDS = ("fR1", "fR2", "fR3", "vR1", "vR2", "vR3", "mixed", "sR2", "sR3")
 
@@ -126,9 +127,12 @@ _BITS = tuple(itertools.product((0, 1), repeat=3))
 
 
 def _sound(kinds: str, f: tuple, p: tuple) -> bool:
-    """Every configuration of a family with a virtual crossing is sound;
-    one of flat and singular crossings exactly when p0^p1 = f1^f2 and
-    p0^p2 = f0^f2 (f the firsts, p the prims)."""
+    """Whether a configuration of a `_TRIANGLE_MOVE` family, the only
+    ones it rules on, is sound: every one of a family with a virtual
+    crossing is; one of flat and singular crossings exactly when
+    p0^p1 = f1^f2 and p0^p2 = f0^f2 (f the firsts, p the prims).  No
+    configuration of the forbidden flat-flat-virtual families is sound;
+    `_forbidden` keeps every one of them on purpose."""
     return "V" in kinds or (p[0] ^ p[1] == f[1] ^ f[2] and p[0] ^ p[2] == f[0] ^ f[2])
 
 
@@ -563,9 +567,6 @@ def run_move_trials(bundles, trials: int = 500, seed: int = 0) -> dict:
     the draws do not depend on the other moves.  Deterministic in the
     seed.
     """
-    from .diagram import extract_relations
-    from .present import enhanced_invariant
-
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
     lifted = []

@@ -113,7 +113,11 @@ def test_verify_order_zero_is_invalid_input(tmp_path, capsys):
     ("semiquandle 2 virtual\n1 1\n2 2\n\n1 1\n2 2\n\nv: 2 1\nv: 1 2\n",
      "more than one 'v:' line"),
     ("semiquandle 1 virtual virtual\n1\n\n1\n\nv: 1\n", "repeated flags ['virtual']"),
-], ids=["hat", "v", "dn", "two-v-lines", "repeated-flag"])
+    ("semiquandle 1 bogus\n1\n\n1\n", "unknown flags ['bogus']"),
+    ("semiquandle 1 virtual\n1\n\n1\n", "virtual flag set but no 'v:' line"),
+    ("semiquandle 1\n1\n\n1\n\nv: 1\n", "'v:' line without virtual flag"),
+], ids=["hat", "v", "dn", "two-v-lines", "repeated-flag", "unknown-flag",
+        "virtual-without-v", "v-without-virtual"])
 def test_verify_malformed_block_is_one_line_structure_error(tmp_path, capsys, text, message):
     f = tmp_path / "bad.txt"
     f.write_text(text)
@@ -271,6 +275,20 @@ def test_count_missing_extension_is_invalid_input(capsys):
     rc, _, err = run(capsys, "count", "--table", "t4",
                      "--builtin", "singular_unknot_1")
     assert rc == 1 and "invalid input" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("comp: C1.over C1.under+\n", "line 1: classical pass 'C1.over' needs a sign"),
+    ("comp: F1.sup+ F1.sub\n", "line 1: sign tag on non-classical pass 'F1.sup+'"),
+    ("comp: C1.over+ C1.under+\n",
+     "classical codes carry no semiquandle relations; flatten first"),
+], ids=["unsigned-classical", "signed-flat", "classical"])
+def test_count_bad_code_is_one_line_invalid_input(tmp_path, capsys, text, message):
+    f = tmp_path / "code.txt"
+    f.write_text(text)
+    rc, out, err = run(capsys, "count", "--table", "t4", "--code", str(f))
+    assert rc == 1 and not out
+    assert err == f"invalid input: {message}\n"
 
 
 def test_count_usage_errors(capsys):

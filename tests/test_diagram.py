@@ -140,6 +140,38 @@ def test_glue_at_marks_one_crossing_singular():
     assert out.crossing_count("C") == 0
 
 
+@pytest.mark.parametrize("resolve, text, message", [
+    (flatten, "comp: C1.over+ F1.sup C1.under+ F1.sub\n",
+     "flatten would collide C1 with F1"),
+    # collisions are found in traversal order
+    (flatten, "comp: C3.over+ C2.over+ F2.sup F3.sup C2.under+ C3.under+ F2.sub F3.sub\n",
+     "flatten would collide C3 with F3"),
+    (lambda code: glue_at(code, 2), "comp: C1.over+ C1.under+\n",
+     "no classical crossing C2"),
+    (lambda code: glue_at(code, 2), "comp: C1.over+ S2.sup C1.under+ S2.sub\n",
+     "no classical crossing C2"),
+    (lambda code: glue_at(code, 1), "comp: C1.over+ S1.sup C1.under+ S1.sub\n",
+     "glue would collide C1 with S1"),
+    # the singular collision is found before any flat one
+    (lambda code: glue_at(code, 1),
+     "comp: C1.over+ S1.sup C2.over+ F2.sup C1.under+ S1.sub C2.under+ F2.sub\n",
+     "glue would collide C1 with S1"),
+    # a flat collision of another crossing surfaces after the glue
+    (lambda code: glue_at(code, 1), "comp: C1.over+ C2.over+ F2.sup C1.under+ C2.under+ F2.sub\n",
+     "flatten would collide C2 with F2"),
+], ids=["flatten", "flatten-order", "glue-missing", "glue-missing-singular",
+        "glue-singular", "glue-singular-before-flat", "glue-then-flat"])
+def test_resolution_errors_are_pinned(resolve, text, message):
+    with pytest.raises(CodeError) as e:
+        resolve(parse_code(text))
+    assert str(e.value) == message
+
+
+def test_glue_at_makes_a_crossing_singular_beside_a_flat_one_of_its_id():
+    out = glue_at(parse_code("comp: C1.over- F1.sup C1.under- F1.sub\n"), 1)
+    assert out == parse_code("comp: S1.sup F1.sup S1.sub F1.sub\n")
+
+
 def test_glue_kink_of_unknot_is_the_singular_kink():
     out = glue_kink(parse_code("comp:\n"))
     assert out == builtin_code("singular_unknot_1")
