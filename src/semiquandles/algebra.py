@@ -407,22 +407,13 @@ def perm_from_cycles(n: int, cycles: Sequence[Sequence[int]]) -> tuple:
     """Build the image tuple of a permutation of 1..n from disjoint cycles."""
     images = list(range(1, n + 1))
     for cyc in cycles:
-        for a, b in zip(cyc, cyc[1:] + type(cyc)([cyc[0]])):
+        if not cyc or not all(0 < a <= n for a in cyc):
+            raise ValueError("cycles do not describe a permutation")
+        for a, b in zip(cyc, [*cyc[1:], cyc[0]]):
             images[a - 1] = b
     if sorted(images) != list(range(1, n + 1)):
         raise ValueError("cycles do not describe a permutation")
     return tuple(images)
-
-
-def column_inverse(t: Sequence[Sequence[int]]) -> tuple:
-    """The 1-based table inv with inv[x-1][y-1] = w exactly when
-    t[w-1][y-1] = x; defined when every column of t is a permutation."""
-    n = len(t)
-    inv = [[0] * n for _ in range(n)]
-    for w in range(n):
-        for y in range(n):
-            inv[t[w][y] - 1][y] = w + 1
-    return tuple(tuple(row) for row in inv)
 
 
 def _zero_based(t: Sequence[Sequence[int]]) -> tuple:
@@ -452,11 +443,6 @@ def make_operator_singular(table: SemiquandleTable) -> SingularExtension:
     row = tuple(range(1, n + 1))
     block = tuple(row for _ in range(n))
     return SingularExtension(block, block)
-
-
-def make_flat_singular(table: SemiquandleTable) -> SingularExtension:
-    """hup = up, hdn = dn."""
-    return SingularExtension(table.up, table.dn)
 
 
 def trivial_singular(n: int) -> SingularExtension:

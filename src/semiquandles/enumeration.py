@@ -31,8 +31,8 @@ import math
 from dataclasses import dataclass
 
 from .algebra import (_FLAT_AXIOMS, _HAT_AXIOMS, ResourceBudgetExceeded,
-                      SemiquandleTable, SingularExtension, StructureBundle,
-                      _relabeled, _trusted, _zero_based, automorphisms)
+                      SemiquandleTable, SingularExtension, _relabeled, _trusted,
+                      _zero_based)
 
 # enumerate_semiquandles builds 3n^3 + 2n^2 axiom checks before its first node
 MAX_ORDER = 16
@@ -433,10 +433,3 @@ def _conjugacy_classes(autos: list) -> list:
             reps.append(tuple(x + 1 for x in a))
     return reps
 
-
-def enumerate_virtual_structures(bundle: StructureBundle,
-                                 node_budget: int = 100_000) -> list:
-    """The distinct virtual structures of the bundle: the least member of
-    each conjugacy class of its automorphism group, sorted.  The budget
-    bounds the search for the automorphisms."""
-    return _conjugacy_classes(automorphisms(bundle, node_budget))

@@ -425,42 +425,53 @@ def canonical(code: PassCode) -> PassCode:
     second line among the codes with that first line, and so on.  Line k
     depends only on the numbering left by lines 1..k-1 and on which
     unused component of slot k's length goes there, in which rotation.
-    The search fills the slots in order and keeps every state (the used
-    components, the crossing numbering and a per-kind counter) that
-    reaches the least line.  The numbering turns a line back into the
-    passes it came from, so two kept states never coincide, and empty
-    components, which are all alike, are set aside first.  Only partial
-    labelings that tie survive, and a code with little symmetry keeps a
-    state or two.  A component is closed when it shares no crossing with
-    another.  Two closed components with the same canonical form are
-    twins: swapping them is an automorphism of the code, so a twin is
-    tried only once the twin before it is used, and k disjoint kinks
-    keep one state, not k!.  Components that are symmetric but linked,
-    such as k copies of a two-component link, still tie in every order.
+    The search fills the slots in order and keeps every state that
+    reaches the least line: the used components, a per-kind counter and
+    the numbers of the open crossings, those with one pass written (no
+    later line reads a crossing whose second pass is written).  States
+    of a slot that agree on these have the same futures and are merged.
+    Empty components, which are all alike, are set aside first.
+
+    Components joined through shared crossings form a block, and a closed
+    component is a block of one.  Blocks whose sub-codes have the same
+    canonical form are twins: swapping two is an automorphism of the
+    code, so a block's components are tried only once the twin block
+    before it is touched.  So k disjoint kinks, or k copies of a
+    two-component link, keep a state or two, not k!.
     """
     comps = [c for c in sorted(code.components, key=len) if c]
-    # a crossing has two passes, so a component holding both passes of
-    # each of its crossings is closed; a lone closed component has no
-    # twin, and keying it would recurse on a one-component code forever
-    closed = [j for j, c in enumerate(comps) if 2 * len({p.crossing for p in c}) == len(c)]
+    blocks = []                     # (crossings, member components)
+    for j, c in enumerate(comps):
+        xs, members = {p.crossing for p in c}, [j]
+        for b in [b for b in blocks if not xs.isdisjoint(b[0])]:
+            blocks.remove(b)
+            xs |= b[0]
+            members += b[1]
+        blocks.append((xs, sorted(members)))
+    # only a block with a partner of the same lengths and kinds is keyed:
+    # a lone block has no twin, and keying it would recurse forever
+    shapes = [([len(comps[j]) for j in ms], sorted(k for k, _ in xs)) for xs, ms in blocks]
     twin, last = [None] * len(comps), {}
-    for j in closed if len(closed) > 1 else ():
-        key = canonical(PassCode((comps[j],)))
-        twin[j], last[key] = last.get(key), j
+    for (_, members), shape in zip(blocks, shapes):
+        if shapes.count(shape) > 1:
+            key = canonical(PassCode(tuple(comps[j] for j in members)))
+            before, last[key] = last.get(key), frozenset(members)
+            for j in members:
+                twin[j] = before
     lines = [()] * (len(code.components) - len(comps))
     states = [(frozenset(), {}, {})]
     for length in map(len, comps):
-        block = [j for j, c in enumerate(comps) if len(c) == length]
+        fits = [j for j, c in enumerate(comps) if len(c) == length]
         best, survivors = None, []
         for used, ids, counts in states:
-            for j in block:
-                if j in used or twin[j] is not None and twin[j] not in used:
+            for j in fits:
+                if j in used or twin[j] is not None and twin[j].isdisjoint(used):
                     continue
                 comp = comps[j]
                 for r in range(length):
                     new_ids, new_counts, line = dict(ids), dict(counts), []
                     for p in comp[r:] + comp[:r]:
-                        cid = new_ids.get(p.crossing)
+                        cid = new_ids.pop(p.crossing, None)
                         if cid is None:
                             cid = new_counts[p.kind] = new_counts.get(p.kind, 0) + 1
                             new_ids[p.crossing] = cid
@@ -471,6 +482,9 @@ def canonical(code: PassCode) -> PassCode:
                     if text == best[0]:
                         survivors.append((used | {j}, new_ids, new_counts))
         lines.append(best[1])
+        if len(survivors) > 1:      # the counter follows from the used set
+            survivors = list({(s[0], frozenset(s[1].items())): s
+                              for s in survivors}.values())
         states = survivors
     return PassCode(tuple(lines))
 

@@ -9,9 +9,9 @@ from semiquandles.algebra import (
     _FLAT_AXIOMS, _HAT_AXIOMS,
     AxiomError, StructureError,
     SemiquandleTable, SingularExtension, VirtualExtension, StructureBundle,
-    check_semiquandle, check_singular, check_virtual, column_inverse,
+    check_semiquandle, check_singular, check_virtual,
     subclosure, automorphisms,
-    make_constant_action, make_operator_singular, make_flat_singular,
+    make_constant_action, make_operator_singular,
     trivial_singular, identity_perm, perm_from_cycles, perm_inverse,
     format_table_text, parse_table_text, builtin_bundle, BUILTIN_BUNDLES,
 )
@@ -139,12 +139,15 @@ def test_constant_action_tables_satisfy_axioms():
     for sigma in itertools.permutations((1, 2, 3)):
         t = make_constant_action(3, sigma)
         assert check_semiquandle(t.up, t.dn) == []
+    with pytest.raises(ValueError, match="sigma is not a permutation"):
+        make_constant_action(3, (1, 1, 2))
 
 
 def test_operator_and_flat_singular_extensions_are_compatible():
     for name in ("t4", "ca3"):
         table = builtin_bundle(name).table
-        for ext in (make_operator_singular(table), make_flat_singular(table)):
+        for ext in (make_operator_singular(table),
+                    SingularExtension(table.up, table.dn)):
             assert check_singular(table.up, table.dn, ext.hup, ext.hdn) == []
 
 
@@ -168,6 +171,10 @@ def test_bundle_construction_rejects_axiom_violations():
 def test_bundle_rejects_order_mismatch():
     with pytest.raises(StructureError):
         StructureBundle(T4.table, trivial_singular(3))
+    with pytest.raises(StructureError, match="virtual extension order mismatch"):
+        StructureBundle(T4.table, virtual=VirtualExtension((1, 2, 3)))
+    with pytest.raises(StructureError, match=r"structure@\('dn', 'rows', 2\)"):
+        SemiquandleTable(((1,),), ((1,), (1,)))
 
 
 def test_constructors_reject_non_integer_entries():
@@ -207,9 +214,6 @@ def test_compiled_operations_are_zero_based_tables_of_present_extensions():
         assert set(ops) == want
         for op, block in blocks.items():
             assert ops[op] == tuple(tuple(x - 1 for x in row) for row in block)
-        t, inv = b.table.up, column_inverse(b.table.up)
-        r = range(b.n)
-        assert all(inv[t[x][y] - 1][y] == x + 1 for x in r for y in r)
 
 
 def test_subclosure_is_closed_and_minimal():
@@ -234,12 +238,18 @@ def test_perm_helpers():
     assert p == (3, 1, 2)
     assert perm_inverse(p) == (2, 3, 1)
     assert tuple(p[q - 1] for q in perm_inverse(p)) == (1, 2, 3)
+    # an element outside 1..n, or an empty cycle, is not a permutation
+    for cycles in ([[4]], [[1, 4]], [[]]):
+        with pytest.raises(ValueError, match="cycles do not describe a permutation"):
+            perm_from_cycles(3, cycles)
 
 
 def test_table_text_round_trip():
     for name in BUILTIN_BUNDLES:
         b = builtin_bundle(name)
         assert parse_table_text(format_table_text(b)) == b
+    with pytest.raises(KeyError, match="unknown builtin bundle 'nope'"):
+        builtin_bundle("nope")
 
 
 def test_parse_table_text_rejects_malformed_input():

@@ -335,6 +335,9 @@ def test_poly_refuses_more_colorings_than_the_budget_at_once(capsys):
 # auto
 
 def test_auto_reports_automorphisms_and_classes(capsys):
+    rc, _, err = run(capsys, "auto")
+    assert rc == 2
+    assert err == "usage error: auto requires --table (file or builtin bundle name)\n"
     rc, out, _ = run(capsys, "auto", "--table", "t4_sing", "--json")
     assert rc == 0
     report = json.loads(out)

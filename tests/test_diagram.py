@@ -34,6 +34,12 @@ def test_parse_rejects_bad_occurrences():
         parse_code("comp: C1.over+ C1.under-\n")
     with pytest.raises(CodeError):
         parse_code("bad line\n")
+    # passes built directly, past the parser: a role of another kind, and
+    # a sign tag on a flat pass
+    with pytest.raises(CodeError, match="bad pass"):
+        PassCode(((Pass("F", 1, "over"), Pass("F", 1, "sub")),))
+    with pytest.raises(CodeError, match="sign tag mismatch on F1.sup"):
+        PassCode(((Pass("F", 1, "sup", 1), Pass("F", 1, "sub", 1)),))
 
 
 def test_crossings_are_listed_once_in_first_appearance_order():

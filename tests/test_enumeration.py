@@ -11,15 +11,25 @@ import semiquandles.enumeration as enumeration
 from semiquandles.algebra import (_FLAT_AXIOMS, _HAT_AXIOMS, BUILTIN_BUNDLES, SemiquandleTable,
                                   StructureBundle, automorphisms, builtin_bundle,
                                   check_semiquandle, check_singular,
-                                  check_virtual, column_inverse,
-                                  make_constant_action, perm_inverse)
+                                  check_virtual, make_constant_action,
+                                  perm_inverse, SingularExtension)
 from semiquandles.cli import main
 from semiquandles.enumeration import (
     CanonicalForm, ResourceBudgetExceeded, _column_check, _hat_check, _hat_env,
-    _hat_search_plan,
+    _conjugacy_classes, _hat_search_plan,
     enumerate_semiquandles, enumerate_singular_extensions,
-    enumerate_virtual_structures,
 )
+
+
+def column_inverse(t):
+    """Oracle: the 1-based table inv with inv[x-1][y-1] = w exactly when
+    t[w-1][y-1] = x; defined when every column of t is a permutation."""
+    n = len(t)
+    inv = [[0] * n for _ in range(n)]
+    for w in range(n):
+        for y in range(n):
+            inv[t[w][y] - 1][y] = w + 1
+    return tuple(tuple(row) for row in inv)
 
 
 def naive_order2():
@@ -273,8 +283,8 @@ def test_singular_extensions_of_order3_constant_action():
     got = [(e.hup, e.hdn) for e in enumerate_singular_extensions(table)]
     assert len(got) == 27
     # the operator and flat extensions are among them
-    from semiquandles.algebra import make_operator_singular, make_flat_singular
-    for ext in (make_operator_singular(table), make_flat_singular(table)):
+    from semiquandles.algebra import make_operator_singular
+    for ext in (make_operator_singular(table), SingularExtension(table.up, table.dn)):
         assert (ext.hup, ext.hdn) in got
 
 
@@ -476,7 +486,7 @@ def test_virtual_structures_are_automorphisms():
     autos = automorphisms(b)
     assert (1, 2, 3, 4) in autos
     assert (3, 4, 1, 2) in autos
-    reps = enumerate_virtual_structures(b)
+    reps = _conjugacy_classes(autos)
     assert set(reps) <= set(autos)
     assert (1, 2, 3, 4) in reps
 
@@ -491,7 +501,7 @@ def test_virtual_structures_relabel_each_class_once(monkeypatch):
     relabeled = enumeration._relabeled
     monkeypatch.setattr(enumeration, "_relabeled",
                         lambda *a: calls.append(a) or relabeled(*a))
-    reps = enumerate_virtual_structures(bundle)
+    reps = _conjugacy_classes(automorphisms(bundle))
 
     def cycle(p, x):
         k, y = 1, p[x - 1]
@@ -517,8 +527,8 @@ def test_table_symmetry_is_pinned(capsys):
         hat = (b.singular.hup, b.singular.hdn) if b.has_singular else ()
         maps = [*itertools.permutations(range(1, b.n + 1)), (1,) * (b.n + 1)]
         reports = [check_virtual(b.table.up, b.table.dn, v, *hat) for v in maps]
-        digest.update(repr((automorphisms(b), enumerate_virtual_structures(b),
-                            reports)).encode())
+        autos = automorphisms(b)
+        digest.update(repr((autos, _conjugacy_classes(autos), reports)).encode())
     for name in BUILTIN_BUNDLES:
         for extra in ([], ["--json"]):
             assert main(["auto", "--table", name, *extra]) == 0

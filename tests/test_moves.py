@@ -16,8 +16,8 @@ from pathlib import Path
 import pytest
 
 import semiquandles.moves as moves
-from semiquandles.algebra import (StructureBundle, VirtualExtension,
-                                  builtin_bundle, make_flat_singular)
+from semiquandles.algebra import (SingularExtension, StructureBundle,
+                                  VirtualExtension, builtin_bundle)
 from semiquandles.diagram import Pass, PassCode, parse_code, extract_relations
 from semiquandles.moves import (
     MOVE_IDS, MoveError, MoveSpec, apply_move, inverse_of, applicable_moves,
@@ -135,7 +135,7 @@ ORACLE_BUNDLES = (
     StructureBundle(T4_SING.table, T4_SING.singular, VirtualExtension((3, 4, 1, 2))),
     # flat singular structure (hat ops equal the flat ops): separates
     # role assignments the operator structures cannot
-    StructureBundle(CA3_OP.table, make_flat_singular(CA3_OP.table),
+    StructureBundle(CA3_OP.table, SingularExtension(CA3_OP.table.up, CA3_OP.table.dn),
                     VirtualExtension((2, 3, 1))),
 )
 
@@ -297,6 +297,9 @@ def test_move_trials_reject_a_negative_count():
         run_move_trials(TRIAL_BUNDLES, trials=-1)
     empty = run_move_trials(TRIAL_BUNDLES, trials=0)
     assert empty["per_move"] == dict.fromkeys(MOVE_IDS, 0)
+    # sR2 and sR3 need a bundle with a singular extension
+    with pytest.raises(ValueError, match="at least one bundle with a singular extension"):
+        run_move_trials([("t4", builtin_bundle("t4"))])
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +373,12 @@ def test_apply_move_error_paths():
         apply_move(code, MoveSpec("fR1", "noop", ((0, 0),), "sup_first"))
     with pytest.raises(MoveError):
         apply_move(code, MoveSpec("fR2", "delete", ((0, 0), (0, 1)), "direct"))
+    with pytest.raises(MoveError, match="unknown insert fR1/nope"):
+        apply_move(code, MoveSpec("fR1", "insert", ((0, 0),), "nope"))
+    with pytest.raises(MoveError, match="fR2 needs 2 sites"):
+        apply_move(code, MoveSpec("fR2", "insert", ((0, 0),), "direct"))
+    with pytest.raises(MoveError, match=r"no rewrite pattern at \(\(0, 0\),\) after fR3"):
+        inverse_of(code, MoveSpec("fR3", "apply", ((0, 0),), "FFF:000:000"))
     # a site position outside the code neither wraps nor escapes as IndexError
     for site in ((5, 0), (-1, 0), (0, -1)):
         with pytest.raises(MoveError):
@@ -524,6 +533,18 @@ def test_canonical_forms_are_pinned():
         "fa305aab3cbb95bc87e5fd1730fb3f5c2a6c2e1398f4bbfbc8288c5f2437928d")
 
 
+def _copies_form(k, lines, width):
+    """The form of k copies of a link of `width` crossings per kind, whose
+    i-th copy has the given lines over ids width*(i-1)+1, +2, ...: copy by
+    copy, except that the last line of the copy holding id 9 comes last
+    once id 10 exists, as `F1x` sorts below `F9` in the text order."""
+    form = [line.format(*range(width * (i - 1) + 1, width * i + 1))
+            for i in range(1, k + 1) for line in lines]
+    if k * width >= 10:
+        form.append(form.pop(len(lines) * (8 // width + 1) - 1))
+    return "".join(form)
+
+
 def test_canonical_of_disjoint_kinks_is_fast():
     # k disjoint kinks tie in every order.  A search that keeps k! tied
     # states takes about 0.3 s on 7 kinks, so it fails there before 12
@@ -536,6 +557,27 @@ def test_canonical_of_disjoint_kinks_is_fast():
         assert time.perf_counter() - start < 0.1
         assert form.text() == "".join(f"comp: F{i}.sub F{i}.sup\n"
                                       for i in range(1, k + 1))
+    # linked twins: k copies of the flat-virtual Hopf link, and 8 unlinked
+    # copies of a 3-component necklace.  Trying closed twins in order
+    # alone keeps k! states of the Hopf copies (0.8 s at k = 7 on a 2-core
+    # Xeon, Python 3.11); ordering linked blocks without merging equal
+    # states takes 1.6 s there on the necklaces, which reach one state
+    # along many paths.
+    hopf = ("comp: F{0}.sub V{0}.v-\n", "comp: F{0}.sup V{0}.v+\n")
+    necklace = ("comp: F{0}.sub F{1}.sup\n", "comp: F{0}.sup F{2}.sub\n",
+                "comp: F{1}.sub F{2}.sup\n")
+    cases = [("".join(f"comp: F{i}.sup V{i}.v+\ncomp: F{i}.sub V{i}.v-\n"
+                      for i in range(k, 0, -1)), _copies_form(k, hopf, 1))
+             for k in (7, 10, 20)]
+    cases.append(("".join(f"comp: F{3 * j + i + 1}.sup F{3 * j + (i + 1) % 3 + 1}.sub\n"
+                          for j in range(8) for i in range(3)),
+                  _copies_form(8, necklace, 3)))
+    for text, want in cases:
+        code = parse_code(text)
+        start = time.perf_counter()
+        form = canonical(code)
+        assert time.perf_counter() - start < 0.1
+        assert form.text() == want
 
 
 # ---------------------------------------------------------------------------
