@@ -12,7 +12,7 @@ a bigon (`_bigon`, two strands through two crossings, each taking
 opposite roles at its two) gives fR2/vR2 and both singular slides, and
 a triangle rule (`_sound`) gives the three-strand moves.  Every move is
 matched the same way: the passes at a site are relabeled into a
-canonical descriptor and looked up in a table of sound configurations.
+canonical descriptor and looked up in the delete or the rewrite table.
 
 Soundness of a configuration means: the multiset of boundary colorings
 (strand input and output colors admitting a consistent internal
@@ -20,10 +20,14 @@ coloring) is identical on both sides of the rewrite, for every valid
 structure bundle, which makes the coloring sets of the two codes
 correspond bijectively.  The test suite re-derives the insert and
 triangle catalogs by exhaustive search over all role/order assignments,
-checked against a diverse set of bundles.  The flat-flat-virtual
-triangle is the forbidden move: no role assignment for it is sound, and
-`apply_forbidden` exposes it separately so tests can demonstrate that
-it changes invariants.
+checked against a diverse set of bundles.
+
+The rewrite table also holds two families outside MOVE_IDS: every
+flat-flat-virtual triangle (move id `forbidden`), none of which is
+sound, and the antiparallel singular slide (`sR2_reverse`), a sound
+derived move.  `moves_of` and `apply_move` reach every id, so tests can
+show that the first changes invariants and the second does not, while
+`applicable_moves` lists the ids of MOVE_IDS only.
 """
 
 from __future__ import annotations
@@ -100,15 +104,14 @@ _INSERTS = {
 }
 
 # the direct singular slide moves the flat crossing from before the
-# singular one to after it on both (parallel) strands
-_SLIDE_SIDES = (("sR2", "flat_first", _bigon(FLAT, SING, 0, False)),
-                ("sR2", "sing_first", _bigon(SING, FLAT, 0, False)))
-
-# antiparallel slide (the strands meet the two crossings in opposite
-# orders): sound by boundary-solution equivalence, but kept out of the
-# primitive catalog as the reverse singular R2 derived move
-_REVERSE_SLIDE_SIDES = (("sR2_reverse", "sup_lead", _bigon(FLAT, SING, 0, True)),
-                        ("sR2_reverse", "sub_lead", _bigon(FLAT, SING, 1, True)))
+# singular one to after it on both (parallel) strands.  The antiparallel
+# slide (the strands meet the two crossings in opposite orders) is sound
+# by boundary-solution equivalence, but kept out of MOVE_IDS as the
+# reverse singular R2 derived move.
+_SLIDES = (("sR2", "flat_first", _bigon(FLAT, SING, 0, False)),
+           ("sR2", "sing_first", _bigon(SING, FLAT, 0, False)),
+           ("sR2_reverse", "sup_lead", _bigon(FLAT, SING, 0, True)),
+           ("sR2_reverse", "sub_lead", _bigon(FLAT, SING, 1, True)))
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +135,7 @@ def _sound(kinds: str, f: tuple, p: tuple) -> bool:
     crossing is; one of flat and singular crossings exactly when
     p0^p1 = f1^f2 and p0^p2 = f0^f2 (f the firsts, p the prims).  No
     configuration of the forbidden flat-flat-virtual families is sound;
-    `_forbidden` keeps every one of them on purpose."""
+    `_rewrites` keeps each one under the move id `forbidden`."""
     return "V" in kinds or (p[0] ^ p[1] == f[1] ^ f[2] and p[0] ^ p[2] == f[0] ^ f[2])
 
 
@@ -189,25 +192,16 @@ _DELETES = {_canonical_descriptor(template): (move, variant, "delete")
 
 @functools.cache
 def _rewrites() -> dict:
-    """The sound triangles (the test suite re-derives them by exhaustive
-    boundary-solution search) and direct slides.  This table and the two
-    below are built on first use, not at import, so that a command that
-    matches no move does not pay for them."""
-    table = _expand_table(_triangles(_TRIANGLE_MOVE, _sound), "swap")
-    table.update(_expand_table(_SLIDE_SIDES, "slide"))
+    """Every rewrite: the sound triangles (the test suite re-derives them
+    by exhaustive boundary-solution search) and direct slides of
+    MOVE_IDS, and every forbidden triangle and reverse slide.  This table
+    and the per-move tables are built on first use, not at import, so
+    that a command that matches no move does not pay for them."""
+    families = (*_TRIANGLE_MOVE, "FFV", "FVF", "VFF")
+    table = _expand_table(_triangles(
+        families, lambda k, f, p: k not in _TRIANGLE_MOVE or _sound(k, f, p)), "swap")
+    table.update(_expand_table(_SLIDES, "slide"))
     return table
-
-
-@functools.cache
-def _forbidden() -> dict:
-    """The forbidden flat-flat-virtual triangles, every role/order
-    assignment; deliberately not merged into the rewrites."""
-    return _expand_table(_triangles(("FFV", "FVF", "VFF"), lambda *_: True), "swap")
-
-
-@functools.cache
-def _reverse_slide() -> dict:
-    return _expand_table(_REVERSE_SLIDE_SIDES, "slide")
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +242,6 @@ def _matches(code: PassCode, table: dict, choose) -> list:
                 direction = "delete" if action == "delete" else "apply"
                 found.append(MoveSpec(move, direction, site, variant))
     return found
-
-
-def _lookup(code: PassCode, m: MoveSpec, table: dict) -> str:
-    """The action of m at its site; MoveError unless the table holds the
-    site's descriptor under m's move and variant."""
-    hit = table.get(_descriptor_at(code, m.site))
-    if hit is None or hit[:2] != (m.move, m.variant):
-        raise MoveError(f"{m.move}/{m.variant} pattern absent at {m.site}")
-    return hit[2]
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +297,8 @@ def _apply_at(code: PassCode, site, action: str) -> PassCode:
 
 
 def apply_move(code: PassCode, m: MoveSpec) -> PassCode:
-    """Apply one catalog move; raises MoveError on pattern mismatch.
+    """Apply one move of any id `moves_of` lists, the forbidden triangle
+    and the reverse slide included; raises MoveError on pattern mismatch.
 
     Rewrites (direction `apply`) are involutive at their site, so the
     same MoveSpec undoes them; inserts are undone by the delete of the
@@ -323,7 +309,10 @@ def apply_move(code: PassCode, m: MoveSpec) -> PassCode:
     table = {"delete": _DELETES, "apply": _rewrites()}.get(m.direction)
     if table is None:
         raise MoveError(f"unknown direction {m.direction!r}")
-    return _apply_at(code, m.site, _lookup(code, m, table))
+    hit = table.get(_descriptor_at(code, m.site))
+    if hit is None or hit[:2] != (m.move, m.variant):
+        raise MoveError(f"{m.move}/{m.variant} pattern absent at {m.site}")
+    return _apply_at(code, m.site, hit[2])
 
 
 def inverse_of(code_after: PassCode, m: MoveSpec) -> MoveSpec:
@@ -337,11 +326,13 @@ def inverse_of(code_after: PassCode, m: MoveSpec) -> MoveSpec:
         if hit is None:
             raise MoveError(f"no rewrite pattern at {m.site} after {m.move}")
         return MoveSpec(hit[0], "apply", m.site, hit[1])
-    # an insert lands each segment two passes further per segment before
-    # it on its component; a delete collapses it as many back
+    # an insert lands each segment two passes further per segment laid
+    # before it on its component, those at one site in template order; a
+    # delete collapses it as many back
     step = 2 if m.direction == "insert" else -2
-    sites = tuple((ci, i + step * sum(1 for cj, j in m.site if cj == ci and j < i))
-                  for ci, i in m.site)
+    sites = tuple((ci, i + step * sum(1 for h, (cj, j) in enumerate(m.site)
+                                      if cj == ci and (j, h) < (i, k)))
+                  for k, (ci, i) in enumerate(m.site))
     if m.direction == "insert":
         return MoveSpec(m.move, "delete", sites, m.variant)
     # delete: re-insert at the collapsed positions (crossing ids are
@@ -368,56 +359,35 @@ def _listed(code: PassCode, inserts: dict, deletes: dict, rewrites: dict) -> lis
 
 
 def applicable_moves(code: PassCode) -> list:
-    """Every applicable (move, direction, site, variant), sorted."""
-    return _listed(code, _INSERTS, _DELETES, _rewrites())
+    """Every applicable catalog move (move, direction, site, variant),
+    sorted: the moves of the ids in MOVE_IDS."""
+    return _listed(code, *_tables_of(*MOVE_IDS))
 
 
 @functools.cache
-def _tables_of(move: str) -> tuple:
-    """The insert, delete and rewrite tables of one move id."""
-    return ({k: t for k, t in _INSERTS.items() if k[0] == move},
-            {d: h for d, h in _DELETES.items() if h[0] == move},
-            {d: h for d, h in _rewrites().items() if h[0] == move})
+def _tables_of(*moves: str) -> tuple:
+    """The insert, delete and rewrite tables of the given move ids."""
+    return ({k: t for k, t in _INSERTS.items() if k[0] in moves},
+            {d: h for d, h in _DELETES.items() if h[0] in moves},
+            {d: h for d, h in _rewrites().items() if h[0] in moves})
 
 
-def _moves_of(code: PassCode, move: str) -> list:
-    """The applicable moves with one move id, sorted: equal to
-    `[m for m in applicable_moves(code) if m.move == move]`, at the cost
-    of that move's tables only."""
+def moves_of(code: PassCode, move: str) -> list:
+    """The applicable moves with one move id, sorted, at the cost of that
+    move's tables only.  Any id of the rewrite table is accepted, so
+    `forbidden` and `sR2_reverse` too; for an id of MOVE_IDS this is
+    `[m for m in applicable_moves(code) if m.move == move]`."""
     return _listed(code, *_tables_of(move))
-
-
-def forbidden_sites(code: PassCode) -> list:
-    """Sites where the forbidden flat-flat-virtual triangle matches."""
-    return sorted(_matches(code, _forbidden(), itertools.combinations))
-
-
-def apply_forbidden(code: PassCode, m: MoveSpec) -> PassCode:
-    """Apply the forbidden move; used only to demonstrate non-invariance."""
-    return _apply_at(code, m.site, _lookup(code, m, _forbidden()))
-
-
-def reverse_slide_sites(code: PassCode) -> list:
-    """Sites of the reverse singular R2 (a derived move, not catalog)."""
-    return sorted(_matches(code, _reverse_slide(), itertools.combinations))
-
-
-def apply_reverse_slide(code: PassCode, m: MoveSpec) -> PassCode:
-    return _apply_at(code, m.site, _lookup(code, m, _reverse_slide()))
 
 
 # ---------------------------------------------------------------------------
 # canonical labels and random codes
 
-def canonical(code: PassCode) -> PassCode:
-    """Normal form that also relabels crossing ids, for comparisons that
-    must ignore id choices (e.g. delete-then-reinsert round trips).
-
-    The form is the code of least text() over every rotation of each
+def _least_block(comps) -> tuple:
+    """The least text of one block's components, its lines and its count
+    of crossings per kind: the least text() over every rotation of each
     component and every reordering of equal-length components, with
-    crossings renumbered per kind in order of first appearance.  An
-    isomorphism of codes can only map components of equal length onto
-    each other, so isomorphic codes share this normal form.
+    crossings numbered per kind from 1 in order of first appearance.
 
     The components fill fixed slots, sorted by length, one text line
     each.  A line ends in a newline, which sorts below every character
@@ -430,42 +400,16 @@ def canonical(code: PassCode) -> PassCode:
     the numbers of the open crossings, those with one pass written (no
     later line reads a crossing whose second pass is written).  States
     of a slot that agree on these have the same futures and are merged.
-    Empty components, which are all alike, are set aside first.
-
-    Components joined through shared crossings form a block, and a closed
-    component is a block of one.  Blocks whose sub-codes have the same
-    canonical form are twins: swapping two is an automorphism of the
-    code, so a block's components are tried only once the twin block
-    before it is touched.  So k disjoint kinks, or k copies of a
-    two-component link, keep a state or two, not k!.
     """
-    comps = [c for c in sorted(code.components, key=len) if c]
-    blocks = []                     # (crossings, member components)
-    for j, c in enumerate(comps):
-        xs, members = {p.crossing for p in c}, [j]
-        for b in [b for b in blocks if not xs.isdisjoint(b[0])]:
-            blocks.remove(b)
-            xs |= b[0]
-            members += b[1]
-        blocks.append((xs, sorted(members)))
-    # only a block with a partner of the same lengths and kinds is keyed:
-    # a lone block has no twin, and keying it would recurse forever
-    shapes = [([len(comps[j]) for j in ms], sorted(k for k, _ in xs)) for xs, ms in blocks]
-    twin, last = [None] * len(comps), {}
-    for (_, members), shape in zip(blocks, shapes):
-        if shapes.count(shape) > 1:
-            key = canonical(PassCode(tuple(comps[j] for j in members)))
-            before, last[key] = last.get(key), frozenset(members)
-            for j in members:
-                twin[j] = before
-    lines = [()] * (len(code.components) - len(comps))
+    comps = sorted(comps, key=len)
     states = [(frozenset(), {}, {})]
+    text, lines = "", []
     for length in map(len, comps):
         fits = [j for j, c in enumerate(comps) if len(c) == length]
         best, survivors = None, []
         for used, ids, counts in states:
             for j in fits:
-                if j in used or twin[j] is not None and twin[j].isdisjoint(used):
+                if j in used:
                     continue
                 comp = comps[j]
                 for r in range(length):
@@ -476,16 +420,50 @@ def canonical(code: PassCode) -> PassCode:
                             cid = new_counts[p.kind] = new_counts.get(p.kind, 0) + 1
                             new_ids[p.crossing] = cid
                         line.append(Pass(p.kind, cid, p.role, p.sign))
-                    text = component_text(line)
-                    if best is None or text < best[0]:
-                        best, survivors = (text, tuple(line)), []
-                    if text == best[0]:
+                    line_text = component_text(line)
+                    if best is None or line_text < best[0]:
+                        best, survivors = (line_text, tuple(line)), []
+                    if line_text == best[0]:
                         survivors.append((used | {j}, new_ids, new_counts))
+        text += best[0]
         lines.append(best[1])
         if len(survivors) > 1:      # the counter follows from the used set
             survivors = list({(s[0], frozenset(s[1].items())): s
                               for s in survivors}.values())
         states = survivors
+    return text, lines, states[0][2]
+
+
+def canonical(code: PassCode) -> PassCode:
+    """Normal form that also relabels crossing ids, for comparisons that
+    must ignore id choices (e.g. delete-then-reinsert round trips).
+
+    Components joined through shared crossings form a block, and a
+    component that shares none is a block of one.  The form lists the
+    empty components first, then each block's form (`_least_block`) in
+    the text order of those forms, each block's crossing ids shifted per
+    kind past the ids of the blocks before it.  An isomorphism of codes
+    maps blocks onto blocks, so isomorphic codes share this normal form,
+    and its cost is a sum over the blocks.
+    """
+    blocks = []                     # (crossings, member components)
+    for c in filter(None, code.components):
+        xs, members = {p.crossing for p in c}, [c]
+        for b in [b for b in blocks if not xs.isdisjoint(b[0])]:
+            blocks.remove(b)
+            xs |= b[0]
+            members += b[1]
+        blocks.append((xs, members))
+    lines = [c for c in code.components if not c]
+    shift = {}
+    for _, form, counts in sorted((_least_block(ms) for _, ms in blocks),
+                                  key=lambda f: f[0]):
+        if shift:                   # the first block keeps its ids
+            form = [tuple(Pass(p.kind, p.cid + shift.get(p.kind, 0), p.role, p.sign)
+                          for p in line) for line in form]
+        lines += form
+        for kind, n in counts.items():
+            shift[kind] = shift.get(kind, 0) + n
     return PassCode(tuple(lines))
 
 
@@ -559,7 +537,7 @@ def _trial_case(move: str, kinds: str, rng: random.Random):
             budget = {k: 2 for k in kinds}
             budget["components"] = rng.randint(1, 2)
             code = random_code(budget, seed=rng.randrange(2 ** 30))
-            candidates = _moves_of(code, move)
+            candidates = moves_of(code, move)
         return code, rng.choice(candidates)
     desc, variant = rng.choice(_rewrite_pool(move, kinds))
     code = _decorate(_materialize(desc), rng, kinds)
@@ -577,7 +555,7 @@ def run_move_trials(bundles, trials: int = 500, seed: int = 0) -> dict:
     the enhanced invariant is unchanged by the move and that the inverse
     restores the code, up to crossing names (`canonical`) where it is
     not restored exactly.  A trial lists only the moves of its own move
-    id (`_moves_of`), in the order `applicable_moves` would give them, so
+    id (`moves_of`), in the order `applicable_moves` would give them, so
     the draws do not depend on the other moves.  Deterministic in the
     seed.
     """

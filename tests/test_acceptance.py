@@ -19,9 +19,8 @@ from semiquandles.algebra import (StructureBundle, VirtualExtension,
 from semiquandles.cli import main
 from semiquandles.diagram import builtin_code, extract_relations, parse_code
 from semiquandles.enumeration import enumerate_semiquandles
-from semiquandles.moves import (apply_forbidden, apply_reverse_slide,
-                                canonical, forbidden_sites,
-                                reverse_slide_sites, run_move_trials)
+from semiquandles.moves import (apply_move, canonical, moves_of,
+                                run_move_trials)
 from semiquandles.present import (Presentation, Relation, builtin, colorings,
                                   count_colorings, enhanced_invariant)
 from semiquandles.vassiliev import distinguish
@@ -178,8 +177,8 @@ def test_criterion_5_move_invariance_suite(capsys):
     # derived move (reverse slide) preserves the invariants too
     inst = parse_code("comp: F1.sup S1.sub S2.sup S2.sub\n"
                       "comp: S1.sup F1.sub S3.sup S3.sub S4.sup S4.sub\n")
-    m = reverse_slide_sites(inst)[0]
-    moved = apply_reverse_slide(inst, m)
+    m = moves_of(inst, "sR2_reverse")[0]
+    moved = apply_move(inst, m)
     ok = ok and canonical(moved) != canonical(inst)
     for name in ("t4_sing", "ca3_op"):
         b = builtin_bundle(name)
@@ -189,11 +188,11 @@ def test_criterion_5_move_invariance_suite(capsys):
     witness = parse_code("comp: F1.sub F2.sub F1.sup V3.v+ F2.sup V3.v-\n")
     t4s = builtin_bundle("t4_sing")
     fb = StructureBundle(t4s.table, t4s.singular, VirtualExtension((3, 4, 1, 2)))
-    site = [x for x in forbidden_sites(witness)
+    site = [x for x in moves_of(witness, "forbidden")
             if x.site == ((0, 0), (0, 2), (0, 4))][0]
     before = enhanced_invariant(extract_relations(witness), fb).polynomial
     after = enhanced_invariant(
-        extract_relations(apply_forbidden(witness, site)), fb).polynomial
+        extract_relations(apply_move(witness, site)), fb).polynomial
     ok = ok and before == "0" and after == "4z^4"
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 60.0

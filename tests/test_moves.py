@@ -1,6 +1,6 @@
 """Move catalog: independent soundness re-verification, randomized
-invariance trials, round trips, the derived reverse slide, and the
-forbidden move."""
+invariance trials, round trips, canonical forms, the derived reverse
+slide, and the forbidden move."""
 
 import functools
 import hashlib
@@ -21,9 +21,8 @@ from semiquandles.algebra import (SingularExtension, StructureBundle,
 from semiquandles.diagram import Pass, PassCode, parse_code, extract_relations
 from semiquandles.moves import (
     MOVE_IDS, MoveError, MoveSpec, apply_move, inverse_of, applicable_moves,
-    canonical, random_code, run_move_trials,
-    forbidden_sites, apply_forbidden, reverse_slide_sites, apply_reverse_slide,
-    _INSERTS, _TRIANGLE_MOVE, _moves_of, _sound, _triangles,
+    canonical, moves_of, random_code, run_move_trials,
+    _INSERTS, _TRIANGLE_MOVE, _sound, _triangles,
 )
 from semiquandles.present import enhanced_invariant
 
@@ -287,7 +286,7 @@ def test_one_moves_candidates_are_its_share_of_the_full_list():
         code = random_code(budget, seed=rng.randrange(2 ** 30))
         listed = applicable_moves(code)
         for move in MOVE_IDS:
-            assert _moves_of(code, move) == [m for m in listed if m.move == move]
+            assert moves_of(code, move) == [m for m in listed if m.move == move]
         inserted += sum(m.direction == "insert" for m in listed)
     assert inserted > 0
 
@@ -306,13 +305,16 @@ def test_move_trials_reject_a_negative_count():
 # round trips and error paths
 
 def test_insert_then_inverse_restores_code():
+    # every site tuple, also those where two segments share a site, as
+    # the inverse of a delete of adjacent segments does
     base = parse_code("comp: S1.sup F1.sub S1.sub F1.sup\n")
-    for m in applicable_moves(base):
-        if m.direction != "insert":
-            continue
-        moved = apply_move(base, m)
-        back = apply_move(moved, inverse_of(moved, m))
-        assert canonical(back) == canonical(base), m
+    positions = [(ci, i) for ci, comp in enumerate(base.components)
+                 for i in range(len(comp) + 1)]
+    for (move, variant), template in _INSERTS.items():
+        for site in itertools.product(positions, repeat=len(template)):
+            m = MoveSpec(move, "insert", site, variant)
+            moved = apply_move(base, m)
+            assert apply_move(moved, inverse_of(moved, m)) == base, m
 
 
 def test_delete_then_inverse_restores_code_up_to_ids():
@@ -340,6 +342,8 @@ def test_every_listed_delete_is_undone_by_its_inverse():
                 inverse = inverse_of(moved, m)
                 back = apply_move(moved, inverse)
                 assert canonical(back) == canonical(code), (m, code.text())
+                # and the re-insert is undone by its own inverse
+                assert apply_move(back, inverse_of(back, inverse)) == moved, (m, code.text())
                 at_end += any(i == len(moved.components[ci]) for ci, i in inverse.site)
                 shared_site += len(set(inverse.site)) < len(inverse.site)
     assert at_end and shared_site
@@ -482,6 +486,17 @@ def _twins(rng, k, length, pair):
     return _relabeled(PassCode(tuple(comps)), rng)
 
 
+def _block_count(code):
+    """The number of sets of nonempty components joined through shared
+    crossings."""
+    blocks = []
+    for c in filter(None, code.components):
+        xs = {p.crossing for p in c}
+        joined = [b for b in blocks if not xs.isdisjoint(b)]
+        blocks = [b for b in blocks if xs.isdisjoint(b)] + [xs.union(*joined)]
+    return len(blocks)
+
+
 def test_canonical_matches_the_brute_force_oracle():
     rng = random.Random(2)
     codes = []
@@ -495,8 +510,7 @@ def test_canonical_matches_the_brute_force_oracle():
                   for sign in [rng.choice((1, -1))] for role in ("over", "under")]
         rng.shuffle(passes)
         codes.append(_cut(passes, rng, rng.randint(2, 3)))
-    # four disjoint kinks tie in every order: the search tries each only
-    # after the kinks before it, as it does all closed twins
+    # four disjoint kinks tie in every order of the oracle
     codes.append(PassCode(tuple((Pass("F", i, "sup"), Pass("F", i, "sub"))
                                 for i in (4, 2, 3, 1))))
     for shape in ((1, 8), (1, 12), (2, 4), (2, 6), (3, 4), (4, 3), (4, 4)):
@@ -507,8 +521,17 @@ def test_canonical_matches_the_brute_force_oracle():
     for shape in ((2, 2, 0), (2, 2, 1), (2, 2, 2), (2, 4, 0), (2, 4, 1), (2, 4, 2),
                   (3, 2, 0), (3, 2, 1), (3, 4, 0), (3, 4, 1), (4, 2, 0), (4, 2, 1)):
         codes.append(_twins(rng, *shape))
+    # a code of one block has the oracle's form; one of several blocks
+    # orders them by their own forms, which the oracle need not do, but
+    # its form is still a relabeling of the code
+    one_block = 0
     for code in codes:
-        assert canonical(code) == naive_canonical(code), code.text()
+        form, oracle = canonical(code), naive_canonical(code)
+        assert naive_canonical(form) == oracle, code.text()
+        if _block_count(code) == 1:
+            one_block += 1
+            assert form == oracle, code.text()
+    assert 100 < one_block < len(codes)
 
 
 def test_canonical_is_relabeling_invariant_beyond_the_oracle():
@@ -522,27 +545,23 @@ def test_canonical_is_relabeling_invariant_beyond_the_oracle():
 
 
 def test_canonical_forms_are_pinned():
-    # regression value of canonical() before it ordered closed twins:
-    # the forms of 400 seeded codes of 1-4 components
+    # regression value of canonical() since it builds its form block by
+    # block: the forms of 400 seeded codes of 1-4 components
     digest = hashlib.sha256()
     for seed in range(400):
         code = random_code({"F": 3, "S": 2, "V": 2, "components": 1 + seed % 4},
                            seed=seed)
         digest.update(canonical(code).text().encode())
     assert digest.hexdigest() == (
-        "fa305aab3cbb95bc87e5fd1730fb3f5c2a6c2e1398f4bbfbc8288c5f2437928d")
+        "34fe15e0930e3663180ff6799cef5c7613aa236efbf1ecac1cb8b8f228c67e66")
 
 
 def _copies_form(k, lines, width):
     """The form of k copies of a link of `width` crossings per kind, whose
     i-th copy has the given lines over ids width*(i-1)+1, +2, ...: copy by
-    copy, except that the last line of the copy holding id 9 comes last
-    once id 10 exists, as `F1x` sorts below `F9` in the text order."""
-    form = [line.format(*range(width * (i - 1) + 1, width * i + 1))
-            for i in range(1, k + 1) for line in lines]
-    if k * width >= 10:
-        form.append(form.pop(len(lines) * (8 // width + 1) - 1))
-    return "".join(form)
+    copy, as blocks of one form are."""
+    return "".join(line.format(*range(width * (i - 1) + 1, width * i + 1))
+                   for i in range(1, k + 1) for line in lines)
 
 
 def test_canonical_of_disjoint_kinks_is_fast():
@@ -578,6 +597,19 @@ def test_canonical_of_disjoint_kinks_is_fast():
         form = canonical(code)
         assert time.perf_counter() - start < 0.1
         assert form.text() == want
+    # 8 one-pass components `V{i}.v+`, each linked to a component of i
+    # flat kinks, so to a block of its own size: the one-pass components
+    # tie on their lines in every order, which a search over the whole
+    # code pays for with 8! states (2.5 s on that host)
+    kinks = [" ".join(f"F{i * 8 + j}.sup F{i * 8 + j}.sub" for j in range(i)) for i in range(1, 9)]
+    code = parse_code("".join(f"comp: V{i}.v+\ncomp: V{i}.v- {kinks[i - 1]}\n"
+                              for i in range(1, 9)))
+    start = time.perf_counter()
+    form = canonical(code)
+    assert time.perf_counter() - start < 0.1
+    assert canonical(_relabeled(code, random.Random(8))) == form
+    assert canonical(form) == form
+    assert form.text().startswith("comp: V1.v+\ncomp: F1.sub F2.sup F2.sub")
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +621,7 @@ REVERSE_INSTANCE = parse_code(
 
 
 def test_reverse_slide_site_is_antiparallel_only():
-    sites = reverse_slide_sites(REVERSE_INSTANCE)
+    sites = moves_of(REVERSE_INSTANCE, "sR2_reverse")
     assert [m.site for m in sites] == [((0, 0), (1, 0))]
     # the primitive (parallel) slide does not match there
     direct = [m for m in applicable_moves(REVERSE_INSTANCE) if m.move == "sR2"]
@@ -597,21 +629,22 @@ def test_reverse_slide_site_is_antiparallel_only():
 
 
 def test_reverse_slide_preserves_invariants_and_is_involutive():
-    m = reverse_slide_sites(REVERSE_INSTANCE)[0]
-    moved = apply_reverse_slide(REVERSE_INSTANCE, m)
+    m = moves_of(REVERSE_INSTANCE, "sR2_reverse")[0]
+    moved = apply_move(REVERSE_INSTANCE, m)
     assert canonical(moved) != canonical(REVERSE_INSTANCE)
     for bundle in (T4_SING, CA3_OP):
         assert poly(moved, bundle) == poly(REVERSE_INSTANCE, bundle)
-    m2 = [x for x in reverse_slide_sites(moved) if x.site == m.site][0]
-    assert canonical(apply_reverse_slide(moved, m2)) == canonical(REVERSE_INSTANCE)
+    m2 = [x for x in moves_of(moved, "sR2_reverse") if x.site == m.site][0]
+    assert inverse_of(moved, m) == m2
+    assert canonical(apply_move(moved, m2)) == canonical(REVERSE_INSTANCE)
 
 
 def test_reverse_slide_rejects_parallel_site():
     parallel = parse_code("comp: F1.sup S1.sub\ncomp: F1.sub S1.sup\n")
-    assert reverse_slide_sites(parallel) == []
+    assert moves_of(parallel, "sR2_reverse") == []
     with pytest.raises(MoveError):
-        apply_reverse_slide(parallel, MoveSpec("sR2_reverse", "apply",
-                                               ((0, 0), (1, 0)), "sup_lead"))
+        apply_move(parallel, MoveSpec("sR2_reverse", "apply",
+                                      ((0, 0), (1, 0)), "sup_lead"))
 
 
 # ---------------------------------------------------------------------------
@@ -624,21 +657,28 @@ FORBIDDEN_BUNDLE = StructureBundle(T4_SING.table, T4_SING.singular,
 
 
 def test_forbidden_move_changes_the_enhanced_invariant():
-    sites = forbidden_sites(FORBIDDEN_WITNESS)
+    sites = moves_of(FORBIDDEN_WITNESS, "forbidden")
     target = [m for m in sites if m.site == ((0, 0), (0, 2), (0, 4))]
     assert target and target[0].variant == "FFV:000:110"
-    moved = apply_forbidden(FORBIDDEN_WITNESS, target[0])
+    moved = apply_move(FORBIDDEN_WITNESS, target[0])
     assert poly(FORBIDDEN_WITNESS, FORBIDDEN_BUNDLE) == "0"
     assert poly(moved, FORBIDDEN_BUNDLE) == "4z^4"
 
 
 def test_forbidden_move_is_not_in_the_catalog():
-    sites = forbidden_sites(FORBIDDEN_WITNESS)
-    assert sites
-    for m in sites:
-        assert m.move == "forbidden"
-        with pytest.raises(MoveError):
-            apply_move(FORBIDDEN_WITNESS, m)
+    # the rewrite table holds the forbidden triangle and the reverse
+    # slide, but the catalog lists neither
+    assert moves_of(FORBIDDEN_WITNESS, "forbidden")
+    assert moves_of(REVERSE_INSTANCE, "sR2_reverse")
+    rng = random.Random(28)
+    codes = [FORBIDDEN_WITNESS, REVERSE_INSTANCE]
+    codes += [random_code({"F": 3, "S": 2, "V": 2, "components": rng.randint(1, 3)},
+                          seed=rng.randrange(2 ** 30)) for _ in range(60)]
+    outside = 0
+    for code in codes:
+        outside += len(moves_of(code, "forbidden") + moves_of(code, "sR2_reverse"))
+        assert {m.move for m in applicable_moves(code)} <= set(MOVE_IDS)
+    assert outside > 2
 
 
 def test_move_tables_are_pinned():
@@ -646,11 +686,12 @@ def test_move_tables_are_pinned():
     # import: a SHA-256 over each table's sorted items
     def digest(items):
         return hashlib.sha256(repr(sorted(items)).encode()).hexdigest()
-    assert digest(moves._rewrites().items()) == (
+    # the catalog's rewrites, which applicable_moves reads
+    assert digest(moves._tables_of(*MOVE_IDS)[2].items()) == (
         "a479bcae17e26c4b8c5344feeefe18045a84abc5a262561372190c3b0ec2106c")
-    assert digest(moves._forbidden().items()) == (
+    assert digest(moves._tables_of("forbidden")[2].items()) == (
         "d9126788332d3adba930df8b37dda3f4cee4e23e8c9a783e2e66cdcf67baf9c4")
-    assert digest(moves._reverse_slide().items()) == (
+    assert digest(moves._tables_of("sR2_reverse")[2].items()) == (
         "8416828c62536adc2a0663cf013782f535042a197dc0b64b1c334e72c64595de")
     assert digest(moves._DELETES.items()) == (
         "92f64c5ad59ac70b0bc04f1b837762c54dbdcc525998f9b36f4383cdd009c886")
@@ -663,9 +704,8 @@ def test_importing_the_cli_builds_no_move_table():
     # a fresh interpreter, since this one has built them
     src = str(Path(moves.__file__).resolve().parent.parent)
     probe = ("import semiquandles.cli, semiquandles.moves as m; "
-             "print([f.cache_info().currsize for f in "
-             "(m._rewrites, m._forbidden, m._reverse_slide, m._tables_of)])")
+             "print([f.cache_info().currsize for f in (m._rewrites, m._tables_of)])")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[0, 0, 0, 0]\n"
+    assert proc.stdout == "[0, 0]\n"
