@@ -383,81 +383,72 @@ def moves_of(code: PassCode, move: str) -> list:
 # ---------------------------------------------------------------------------
 # canonical labels and random codes
 
-def _least_block(comps) -> tuple:
-    """The least text of one block's components, its lines and its count
-    of crossings per kind: the least text() over every rotation of each
-    component and every reordering of equal-length components, with
-    crossings numbered per kind from 1 in order of first appearance.
-
-    The components fill fixed slots, sorted by length, one text line
-    each.  A line ends in a newline, which sorts below every character
-    of a line, so the least text has the least first line, then the least
-    second line among the codes with that first line, and so on.  Line k
-    depends only on the numbering left by lines 1..k-1 and on which
-    unused component of slot k's length goes there, in which rotation.
-    The search fills the slots in order and keeps every state that
-    reaches the least line: the used components, a per-kind counter and
-    the numbers of the open crossings, those with one pass written (no
-    later line reads a crossing whose second pass is written).  States
-    of a slot that agree on these have the same futures and are merged.
+def _walk(comps, where, root, best=None) -> tuple:
+    """The walk from root (ci, i): component ci written from pass i, then
+    each component first met through the other pass of a crossing,
+    written from that pass, in the order met, with crossings numbered per
+    kind from 1 in order of first appearance.  Returns its lines, their
+    texts, its count of crossings per kind and the components it met, or
+    None at its first line above best's line at the same index: a line
+    ends in a newline, which sorts below every character of a line, so
+    text order is line-by-line order.  An isomorphism of codes maps the
+    walk from a root onto the walk from its image.
     """
-    comps = sorted(comps, key=len)
-    states = [(frozenset(), {}, {})]
-    text, lines = "", []
-    for length in map(len, comps):
-        fits = [j for j, c in enumerate(comps) if len(c) == length]
-        best, survivors = None, []
-        for used, ids, counts in states:
-            for j in fits:
-                if j in used:
-                    continue
-                comp = comps[j]
-                for r in range(length):
-                    new_ids, new_counts, line = dict(ids), dict(counts), []
-                    for p in comp[r:] + comp[:r]:
-                        cid = new_ids.pop(p.crossing, None)
-                        if cid is None:
-                            cid = new_counts[p.kind] = new_counts.get(p.kind, 0) + 1
-                            new_ids[p.crossing] = cid
-                        line.append(Pass(p.kind, cid, p.role, p.sign))
-                    line_text = component_text(line)
-                    if best is None or line_text < best[0]:
-                        best, survivors = (line_text, tuple(line)), []
-                    if line_text == best[0]:
-                        survivors.append((used | {j}, new_ids, new_counts))
-        text += best[0]
-        lines.append(best[1])
-        if len(survivors) > 1:      # the counter follows from the used set
-            survivors = list({(s[0], frozenset(s[1].items())): s
-                              for s in survivors}.values())
-        states = survivors
-    return text, lines, states[0][2]
+    queue, met, ids, counts = [root], {root[0]}, {}, {}
+    lines, texts = [], []
+    for ci, i in queue:
+        comp, line = comps[ci], []
+        for p in comp[i:] + comp[:i]:
+            cid = ids.get(p.crossing)
+            if cid is None:
+                cid = ids[p.crossing] = counts[p.kind] = counts.get(p.kind, 0) + 1
+                for cj, j in where[p.crossing]:
+                    if cj not in met:
+                        met.add(cj)
+                        queue.append((cj, j))
+            line.append(Pass(p.kind, cid, p.role, p.sign))
+        text = component_text(line)
+        if best is not None:        # tied with best on every line so far
+            if text > best[1][len(texts)]:
+                return None
+            if text < best[1][len(texts)]:
+                best = None
+        lines.append(line)
+        texts.append(text)
+    return lines, texts, counts, met
 
 
 def canonical(code: PassCode) -> PassCode:
     """Normal form that also relabels crossing ids, for comparisons that
     must ignore id choices (e.g. delete-then-reinsert round trips).
 
-    Components joined through shared crossings form a block, and a
-    component that shares none is a block of one.  The form lists the
-    empty components first, then each block's form (`_least_block`) in
-    the text order of those forms, each block's crossing ids shifted per
-    kind past the ids of the blocks before it.  An isomorphism of codes
-    maps blocks onto blocks, so isomorphic codes share this normal form,
-    and its cost is a sum over the blocks.
+    The components that a walk (`_walk`) meets form a block: those joined
+    through shared crossings.  A block's form is its least walk text over
+    the roots on its shortest components, a choice of roots that an
+    isomorphism preserves; a one-component block's form is its least
+    relabeled rotation.  The form lists the empty components first, then
+    the block forms in text order, each block's crossing ids shifted per
+    kind past the ids of the blocks before it.  Isomorphic codes share
+    this normal form, and a block costs one walk per pass of its shortest
+    components.
     """
-    blocks = []                     # (crossings, member components)
-    for c in filter(None, code.components):
-        xs, members = {p.crossing for p in c}, [c]
-        for b in [b for b in blocks if not xs.isdisjoint(b[0])]:
-            blocks.remove(b)
-            xs |= b[0]
-            members += b[1]
-        blocks.append((xs, members))
-    lines = [c for c in code.components if not c]
+    comps, where = code.components, {}
+    for ci, comp in enumerate(comps):
+        for i, p in enumerate(comp):
+            where.setdefault(p.crossing, []).append((ci, i))
+    lines, forms, seen = [c for c in comps if not c], [], set()
+    for ci, comp in enumerate(comps):
+        if comp and ci not in seen:
+            block = _walk(comps, where, (ci, 0))[3]
+            seen |= block
+            length = min(len(comps[cj]) for cj in block)
+            best = None
+            for root in ((cj, i) for cj in sorted(block) if len(comps[cj]) == length
+                         for i in range(length)):
+                best = _walk(comps, where, root, best) or best
+            forms.append(best)
     shift = {}
-    for _, form, counts in sorted((_least_block(ms) for _, ms in blocks),
-                                  key=lambda f: f[0]):
+    for form, _, counts, _ in sorted(forms, key=lambda f: f[1]):
         if shift:                   # the first block keeps its ids
             form = [tuple(Pass(p.kind, p.cid + shift.get(p.kind, 0), p.role, p.sign)
                           for p in line) for line in form]

@@ -1,6 +1,7 @@
-"""Parsers and the command line on generated input: each parser raises
-only its documented error, and `cli.main` on any file contents exits
-with a documented code and at most one line of diagnostics."""
+"""Parsers, the command line and canonical forms on generated input:
+each parser raises only its documented error, `cli.main` on any file
+contents exits with a documented code and at most one line of
+diagnostics, and relabeled copies of a code share its canonical form."""
 
 import contextlib
 import io
@@ -12,7 +13,8 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from semiquandles.algebra import AxiomError, StructureError, parse_table_text
 from semiquandles.cli import main
-from semiquandles.diagram import CodeError, parse_code
+from semiquandles.diagram import _ROLES, CodeError, Pass, PassCode, parse_code
+from semiquandles.moves import canonical
 from semiquandles.present import PresentationError, parse_presentation
 
 # derandomized and without an example database, so runs repeat exactly
@@ -49,6 +51,41 @@ PRESENTATION_TEXT = st.one_of(
     st.text(),
     lines(words("gens:", "a", "b", "up(a,b)=c", "dn(b,a)=a", "hup(a,a)=b",
                 "hdn(a,b)=a", "v(a)=b", "v(b)=a", ";", "up(a)=b", "#")))
+
+
+@st.composite
+def relabeled_codes(draw):
+    """A valid code of at most 6 F/S/V/C crossings on at most 5
+    components, and a copy with its components reordered and rotated and
+    each kind's crossings renumbered."""
+    kinds = draw(st.lists(st.sampled_from("FSVC"), max_size=6))
+    passes = [Pass(kind, kinds[:n].count(kind) + 1, role, sign)
+              for n, kind in enumerate(kinds)
+              for sign in [draw(st.sampled_from((1, -1))) if kind == "C" else 0]
+              for role in _ROLES[kind]]
+    passes = draw(st.permutations(passes))
+    cuts = sorted(draw(st.lists(st.integers(0, len(passes)), max_size=4)))
+    bounds = [0, *cuts, len(passes)]
+    comps = [passes[a:b] for a, b in zip(bounds, bounds[1:])]
+    ids = {(kind, a): b for kind in "FSVC"
+           for a, b in enumerate(draw(st.permutations(range(1, kinds.count(kind) + 1))), 1)}
+    twin = []
+    for c in draw(st.permutations(comps)):
+        k = draw(st.integers(0, max(len(c) - 1, 0)))
+        twin.append([Pass(p.kind, ids[p.crossing], p.role, p.sign) for p in c[k:] + c[:k]])
+    return PassCode(comps), PassCode(twin)
+
+
+@FUZZ
+@given(relabeled_codes())
+def test_relabeled_codes_share_one_canonical_form(pair):
+    code, twin = pair
+    form = canonical(code)
+    assert canonical(twin) == form
+    assert canonical(form) == form
+    assert sorted(map(len, form.components)) == sorted(map(len, code.components))
+    # the code numbers each kind's crossings from 1, as forms do
+    assert sorted(form.crossings()) == sorted(code.crossings())
 
 
 @FUZZ

@@ -486,15 +486,13 @@ def _twins(rng, k, length, pair):
     return _relabeled(PassCode(tuple(comps)), rng)
 
 
-def _block_count(code):
-    """The number of sets of nonempty components joined through shared
-    crossings."""
-    blocks = []
-    for c in filter(None, code.components):
-        xs = {p.crossing for p in c}
-        joined = [b for b in blocks if not xs.isdisjoint(b)]
-        blocks = [b for b in blocks if xs.isdisjoint(b)] + [xs.union(*joined)]
-    return len(blocks)
+def _arrangements(code):
+    """The first 100 arrangements of the code's own passes: every order
+    of its components, each component in every rotation."""
+    return itertools.islice(
+        (PassCode(rotated) for order in itertools.permutations(code.components)
+         for rotated in itertools.product(*[[c[k:] + c[:k] for k in range(max(len(c), 1))]
+                                            for c in order])), 100)
 
 
 def test_canonical_matches_the_brute_force_oracle():
@@ -521,17 +519,17 @@ def test_canonical_matches_the_brute_force_oracle():
     for shape in ((2, 2, 0), (2, 2, 1), (2, 2, 2), (2, 4, 0), (2, 4, 1), (2, 4, 2),
                   (3, 2, 0), (3, 2, 1), (3, 4, 0), (3, 4, 1), (4, 2, 0), (4, 2, 1)):
         codes.append(_twins(rng, *shape))
-    # a code of one block has the oracle's form; one of several blocks
-    # orders them by their own forms, which the oracle need not do, but
-    # its form is still a relabeling of the code
-    one_block = 0
+    # every form is a relabeling of its code, which every arrangement
+    # shares; a code with one nonempty component has the oracle's form
+    single = 0
     for code in codes:
         form, oracle = canonical(code), naive_canonical(code)
         assert naive_canonical(form) == oracle, code.text()
-        if _block_count(code) == 1:
-            one_block += 1
+        assert all(canonical(a) == form for a in _arrangements(code)), code.text()
+        if sum(1 for c in code.components if c) == 1:
+            single += 1
             assert form == oracle, code.text()
-    assert 100 < one_block < len(codes)
+    assert 40 < single < len(codes)
 
 
 def test_canonical_is_relabeling_invariant_beyond_the_oracle():
@@ -545,15 +543,15 @@ def test_canonical_is_relabeling_invariant_beyond_the_oracle():
 
 
 def test_canonical_forms_are_pinned():
-    # regression value of canonical() since it builds its form block by
-    # block: the forms of 400 seeded codes of 1-4 components
+    # regression value of canonical() since it builds each block's form
+    # by rooted walks: the forms of 400 seeded codes of 1-4 components
     digest = hashlib.sha256()
     for seed in range(400):
         code = random_code({"F": 3, "S": 2, "V": 2, "components": 1 + seed % 4},
                            seed=seed)
         digest.update(canonical(code).text().encode())
     assert digest.hexdigest() == (
-        "34fe15e0930e3663180ff6799cef5c7613aa236efbf1ecac1cb8b8f228c67e66")
+        "ffdc9f43d419760146af4f5b61ba7e2e65166c78c29350475f9099a2b4c0a4f3")
 
 
 def _copies_form(k, lines, width):
@@ -565,9 +563,9 @@ def _copies_form(k, lines, width):
 
 
 def test_canonical_of_disjoint_kinks_is_fast():
-    # k disjoint kinks tie in every order.  A search that keeps k! tied
-    # states takes about 0.3 s on 7 kinks, so it fails there before 12
-    # kinks exhaust memory.
+    # k disjoint kinks tie in every order.  A search over component
+    # orders keeps k! tied states: about 0.3 s on 7 kinks, and 12 kinks
+    # exhaust memory.
     for k in (7, 12, 40):
         code = PassCode(tuple((Pass("F", i, "sup"), Pass("F", i, "sub"))
                               for i in range(k, 0, -1)))
@@ -577,11 +575,9 @@ def test_canonical_of_disjoint_kinks_is_fast():
         assert form.text() == "".join(f"comp: F{i}.sub F{i}.sup\n"
                                       for i in range(1, k + 1))
     # linked twins: k copies of the flat-virtual Hopf link, and 8 unlinked
-    # copies of a 3-component necklace.  Trying closed twins in order
-    # alone keeps k! states of the Hopf copies (0.8 s at k = 7 on a 2-core
-    # Xeon, Python 3.11); ordering linked blocks without merging equal
-    # states takes 1.6 s there on the necklaces, which reach one state
-    # along many paths.
+    # copies of a 3-component necklace.  A search over the component
+    # orders of the whole code keeps k! states of the Hopf copies (0.8 s
+    # at k = 7 on a 2-core Xeon, Python 3.11).
     hopf = ("comp: F{0}.sub V{0}.v-\n", "comp: F{0}.sup V{0}.v+\n")
     necklace = ("comp: F{0}.sub F{1}.sup\n", "comp: F{0}.sup F{2}.sub\n",
                 "comp: F{1}.sub F{2}.sup\n")
@@ -597,19 +593,25 @@ def test_canonical_of_disjoint_kinks_is_fast():
         form = canonical(code)
         assert time.perf_counter() - start < 0.1
         assert form.text() == want
-    # 8 one-pass components `V{i}.v+`, each linked to a component of i
-    # flat kinks, so to a block of its own size: the one-pass components
-    # tie on their lines in every order, which a search over the whole
-    # code pays for with 8! states (2.5 s on that host)
+    # m one-pass components `V{i}.v+`, each linked to a component of i
+    # flat kinks (one block each), and m one-pass components on one hub
+    # component (one block): the one-pass components tie on their lines
+    # in every order, which a search over component orders pays for with
+    # m! states (2.5 s and 6-8 s at m = 8 on 2-core hosts)
     kinks = [" ".join(f"F{i * 8 + j}.sup F{i * 8 + j}.sub" for j in range(i)) for i in range(1, 9)]
-    code = parse_code("".join(f"comp: V{i}.v+\ncomp: V{i}.v- {kinks[i - 1]}\n"
-                              for i in range(1, 9)))
-    start = time.perf_counter()
-    form = canonical(code)
-    assert time.perf_counter() - start < 0.1
-    assert canonical(_relabeled(code, random.Random(8))) == form
-    assert canonical(form) == form
-    assert form.text().startswith("comp: V1.v+\ncomp: F1.sub F2.sup F2.sub")
+    cases = [("".join(f"comp: V{i}.v+\ncomp: V{i}.v- {kinks[i - 1]}\n" for i in range(1, 9)),
+              "comp: V1.v+\ncomp: V1.v- F1.sup F1.sub\ncomp: V2.v+\n")]
+    cases += [("".join(f"comp: V{i}.v+\n" for i in range(m, 0, -1))
+               + "comp: " + " ".join(f"V{i}.v-" for i in range(1, m + 1)) + "\n",
+               "comp: V1.v+\ncomp: V1.v- V2.v- V3.v-") for m in (8, 40)]
+    for text, head in cases:
+        code = parse_code(text)
+        start = time.perf_counter()
+        form = canonical(code)
+        assert time.perf_counter() - start < 0.1
+        assert canonical(_relabeled(code, random.Random(8))) == form
+        assert canonical(form) == form
+        assert form.text().startswith(head)
 
 
 # ---------------------------------------------------------------------------
