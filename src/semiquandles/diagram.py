@@ -14,7 +14,7 @@ Codes are abstract Gauss-code-like objects: no planarity is checked.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .present import Presentation, Relation
@@ -33,7 +33,7 @@ class CodeError(ValueError):
     """Malformed code text or occurrence-invariant violation."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Pass:
     kind: str
     cid: int
@@ -56,27 +56,29 @@ _PASS_RE = re.compile(r"^([FSVC])(\d+)\.(sup|sub|v\+|v-|over|under)([+-]?)$")
 @dataclass(frozen=True)
 class PassCode:
     components: tuple      # tuple of tuples of Pass
+    # crossing -> its two passes as (component, index, pass), in order of
+    # first appearance; built by _validate, read-only
+    where: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "components",
                            tuple(tuple(c) for c in self.components))
-        _validate(self.components)
+        object.__setattr__(self, "where", _validate(self.components))
 
     @property
     def is_classical(self) -> bool:
-        return any(p.kind == CLASSICAL for c in self.components for p in c)
+        return any(k == CLASSICAL for k, _ in self.where)
 
     def passes(self) -> list:
         return [p for c in self.components for p in c]
 
     def crossings(self) -> list:
-        return list(dict.fromkeys(p.crossing for p in self.passes()))
+        return list(self.where)
 
     def crossing_count(self, kind: Optional[str] = None) -> int:
-        xs = self.crossings()
         if kind is None:
-            return len(xs)
-        return sum(1 for k, _ in xs if k == kind)
+            return len(self.where)
+        return sum(1 for k, _ in self.where if k == kind)
 
     def semiarc_count(self) -> int:
         return sum(max(len(c), 1) for c in self.components)
@@ -90,24 +92,26 @@ def component_text(comp) -> str:
     return "comp: " + " ".join(p.text() for p in comp) + "\n" if comp else "comp:\n"
 
 
-def _validate(components) -> None:
-    occurrences = {}
-    for comp in components:
-        for p in comp:
+def _validate(components) -> dict:
+    """The crossing map of `PassCode.where`; CodeError on an invalid code."""
+    where = {}
+    for ci, comp in enumerate(components):
+        for i, p in enumerate(comp):
             if p.kind not in _ROLES or p.role not in _ROLES[p.kind]:
                 raise CodeError(f"bad pass {p!r}")
             if (p.kind == CLASSICAL) != (p.sign != 0):
                 raise CodeError(f"sign tag mismatch on {p.text()}")
-            occurrences.setdefault(p.crossing, []).append(p)
-    for (kind, cid), ps in occurrences.items():
-        roles = sorted(p.role for p in ps)
+            where.setdefault(p.crossing, []).append((ci, i, p))
+    for (kind, cid), ps in where.items():
+        roles = sorted(p.role for _, _, p in ps)
         want = sorted(_ROLES[kind])
         if len(ps) != 2 or roles != want:
             raise CodeError(
                 f"crossing {kind}{cid} needs exactly one "
                 f"{want[0]} and one {want[1]} pass, got {roles}")
-        if kind == CLASSICAL and ps[0].sign != ps[1].sign:
+        if kind == CLASSICAL and ps[0][2].sign != ps[1][2].sign:
             raise CodeError(f"crossing C{cid} has inconsistent signs")
+    return where
 
 
 def parse_code(text: str) -> PassCode:
@@ -150,76 +154,53 @@ def unknot(components: int = 1) -> PassCode:
 # ---------------------------------------------------------------------------
 # relation extraction
 
-def _semiarc_labels(code: PassCode) -> dict:
-    """Map (component, pass index) -> generator label of the semiarc that is
-    the OUTPUT of that pass.  Crossing-free components map (ci, 0) to their
-    free-loop generator."""
-    labels = {}
-    k = 0
-    for ci, comp in enumerate(code.components):
-        for i in range(max(len(comp), 1)):
-            labels[(ci, i)] = f"s{k}"
-            k += 1
-    return labels
-
-
 def extract_relations(code: PassCode) -> Presentation:
     """Fundamental presentation of a flat/singular/virtual code.
 
-    One generator per semiarc.  A flat crossing with sup-pass (in a,
+    One generator per semiarc: s0, s1, ... numbered component by
+    component, the semiarc leaving pass i of a component numbered i past
+    the component's first.  A flat crossing with sup-pass (in a,
     out a') and sub-pass (in b, out b') contributes up(a,b)=a' and
     dn(b,a)=b'; singular crossings contribute hup/hdn likewise.  A `v+`
     pass (in a, out a') contributes v(a)=a'; a `v-` pass (in b, out b')
-    contributes v(b')=b.  Classical codes must be flattened first.
+    contributes v(b')=b.  Crossings contribute in order of first
+    appearance.  Classical codes must be flattened first.
     """
     if code.is_classical:
         raise CodeError("classical codes carry no semiquandle relations; flatten first")
-    out_label = _semiarc_labels(code)
+    comps, offsets, k = code.components, [], 0
+    for comp in comps:
+        offsets.append(k)
+        k += max(len(comp), 1)
 
-    def in_label(ci, i):
-        m = len(code.components[ci])
-        return out_label[(ci, (i - 1) % m)]
-
-    positions = {}
-    for ci, comp in enumerate(code.components):
-        for i, p in enumerate(comp):
-            positions.setdefault(p.crossing, []).append((ci, i, p))
+    def labels(ci, i):
+        """The semiarcs into and out of pass i of component ci."""
+        return f"s{offsets[ci] + (i - 1) % len(comps[ci])}", f"s{offsets[ci] + i}"
 
     relations = []
-    for comp in code.components:
-        for p in comp:
-            key = p.crossing
-            if key not in positions:
-                continue
-            ps = positions.pop(key)
-            kind = key[0]
-            if kind == VIRT:
-                for ci, i, q in ps:
-                    a, a_out = in_label(ci, i), out_label[(ci, i)]
-                    if q.role == "v+":
-                        relations.append(Relation("v", (a,), a_out))
-                    else:
-                        relations.append(Relation("v", (a_out,), a))
-            else:
-                (ci1, i1, p1), (ci2, i2, p2) = ps
-                if p1.role != "sup":
-                    (ci1, i1, p1), (ci2, i2, p2) = (ci2, i2, p2), (ci1, i1, p1)
-                a, a_out = in_label(ci1, i1), out_label[(ci1, i1)]
-                b, b_out = in_label(ci2, i2), out_label[(ci2, i2)]
-                op_sup, op_sub = ("up", "dn") if kind == FLAT else ("hup", "hdn")
-                relations.append(Relation(op_sup, (a, b), a_out))
-                relations.append(Relation(op_sub, (b, a), b_out))
-
-    gens = tuple(out_label[k] for k in sorted(out_label))
-    return Presentation(gens, tuple(relations))
+    for (kind, _), ps in code.where.items():
+        if kind == VIRT:
+            for ci, i, q in ps:
+                a, a_out = labels(ci, i)
+                if q.role == "v+":
+                    relations.append(Relation("v", (a,), a_out))
+                else:
+                    relations.append(Relation("v", (a_out,), a))
+        else:
+            sup, sub = ps if ps[0][2].role == "sup" else ps[::-1]
+            a, a_out = labels(*sup[:2])
+            b, b_out = labels(*sub[:2])
+            op_sup, op_sub = ("up", "dn") if kind == FLAT else ("hup", "hdn")
+            relations.append(Relation(op_sup, (a, b), a_out))
+            relations.append(Relation(op_sub, (b, a), b_out))
+    return Presentation(tuple(f"s{j}" for j in range(k)), tuple(relations))
 
 
 # ---------------------------------------------------------------------------
 # classical-code operations for the degree-one invariant pipeline
 
 def _fresh_cid(code: PassCode, kind: str) -> int:
-    cids = [cid for k, cid in code.crossings() if k == kind]
-    return max(cids, default=0) + 1
+    return max((cid for k, cid in code.where if k == kind), default=0) + 1
 
 
 def flatten(code: PassCode) -> PassCode:
@@ -231,12 +212,10 @@ def flatten(code: PassCode) -> PassCode:
 def _resolved(code: PassCode, glued: Optional[int]) -> PassCode:
     """Each classical crossing made flat, but the one of id glued made
     singular; over-passes become sup, under-passes sub."""
-    flat_ids = {cid for k, cid in code.crossings() if k == FLAT}
-
     def resolve(p):
         if p.kind != CLASSICAL:
             return p
-        if p.cid != glued and p.cid in flat_ids:
+        if p.cid != glued and (FLAT, p.cid) in code.where:
             raise CodeError(f"flatten would collide C{p.cid} with F{p.cid}")
         return Pass(SING if p.cid == glued else FLAT, p.cid,
                     "sup" if p.role == "over" else "sub")
@@ -244,16 +223,12 @@ def _resolved(code: PassCode, glued: Optional[int]) -> PassCode:
 
 
 def _classical_self_crossing(code: PassCode, cid: int):
-    locs = [(ci, i, p)
-            for ci, comp in enumerate(code.components)
-            for i, p in enumerate(comp)
-            if p.kind == CLASSICAL and p.cid == cid]
-    if not locs:
+    if (CLASSICAL, cid) not in code.where:
         raise CodeError(f"no classical crossing C{cid}")
-    (c1, i1, _), (c2, i2, _) = locs
+    (c1, i1, _), (c2, i2, _) = code.where[CLASSICAL, cid]
     if c1 != c2:
         raise CodeError(f"C{cid} is not a self-crossing")
-    return c1, min(i1, i2), max(i1, i2)
+    return c1, i1, i2
 
 
 def smooth_at(code: PassCode, cid: int) -> PassCode:
@@ -274,10 +249,9 @@ def smooth_at(code: PassCode, cid: int) -> PassCode:
 def glue_at(code: PassCode, cid: int) -> PassCode:
     """Make classical crossing cid singular (over -> sup, under -> sub) and
     flatten everything else."""
-    crossings = code.crossings()
-    if (CLASSICAL, cid) not in crossings:
+    if (CLASSICAL, cid) not in code.where:
         raise CodeError(f"no classical crossing C{cid}")
-    if (SING, cid) in crossings:
+    if (SING, cid) in code.where:
         raise CodeError(f"glue would collide C{cid} with S{cid}")
     return _resolved(code, cid)
 

@@ -249,7 +249,7 @@ def _matches(code: PassCode, table: dict, choose) -> list:
 
 def _fresh_ids(code: PassCode, template) -> dict:
     used = {}
-    for kind, cid in code.crossings():
+    for kind, cid in code.where:
         used[kind] = max(used.get(kind, 0), cid)
     ids = {}
     for seg in template:
@@ -383,7 +383,7 @@ def moves_of(code: PassCode, move: str) -> list:
 # ---------------------------------------------------------------------------
 # canonical labels and random codes
 
-def _walk(comps, where, root, best=None) -> tuple:
+def _walk(code: PassCode, root, best=None) -> tuple:
     """The walk from root (ci, i): component ci written from pass i, then
     each component first met through the other pass of a crossing,
     written from that pass, in the order met, with crossings numbered per
@@ -397,12 +397,12 @@ def _walk(comps, where, root, best=None) -> tuple:
     queue, met, ids, counts = [root], {root[0]}, {}, {}
     lines, texts = [], []
     for ci, i in queue:
-        comp, line = comps[ci], []
+        comp, line = code.components[ci], []
         for p in comp[i:] + comp[:i]:
             cid = ids.get(p.crossing)
             if cid is None:
                 cid = ids[p.crossing] = counts[p.kind] = counts.get(p.kind, 0) + 1
-                for cj, j in where[p.crossing]:
+                for cj, j, _ in code.where[p.crossing]:
                     if cj not in met:
                         met.add(cj)
                         queue.append((cj, j))
@@ -432,20 +432,17 @@ def canonical(code: PassCode) -> PassCode:
     this normal form, and a block costs one walk per pass of its shortest
     components.
     """
-    comps, where = code.components, {}
-    for ci, comp in enumerate(comps):
-        for i, p in enumerate(comp):
-            where.setdefault(p.crossing, []).append((ci, i))
+    comps = code.components
     lines, forms, seen = [c for c in comps if not c], [], set()
     for ci, comp in enumerate(comps):
         if comp and ci not in seen:
-            block = _walk(comps, where, (ci, 0))[3]
+            block = _walk(code, (ci, 0))[3]
             seen |= block
             length = min(len(comps[cj]) for cj in block)
             best = None
             for root in ((cj, i) for cj in sorted(block) if len(comps[cj]) == length
                          for i in range(length)):
-                best = _walk(comps, where, root, best) or best
+                best = _walk(code, root, best) or best
             forms.append(best)
     shift = {}
     for form, _, counts, _ in sorted(forms, key=lambda f: f[1]):
@@ -501,8 +498,7 @@ def _decorate(code: PassCode, rng: random.Random, kinds: str) -> PassCode:
     comps = [list(c) for c in code.components]
     for _ in range(rng.randint(0, 2)):
         kind = rng.choice(kinds)
-        cid = max((c for k, c in code.crossings() if k == kind), default=0) \
-            + rng.randint(1, 3)
+        cid = max((c for k, c in code.where if k == kind), default=0) + rng.randint(1, 3)
         r1, r2 = _ROLES[kind]
         ci = rng.randrange(len(comps))
         comps[ci] += [Pass(kind, cid, r1), Pass(kind, cid, r2)]

@@ -44,11 +44,8 @@ def _classical_crossings(code: PassCode) -> list:
     """(cid, sign) for each classical crossing of a one-component code."""
     if len(code.components) != 1:
         raise CodeError("the resolution sums are defined for one-component codes")
-    out = []
-    for p in code.components[0]:
-        if p.kind == CLASSICAL and all(cid != p.cid for cid, _ in out):
-            out.append((p.cid, p.sign))
-    return out
+    return [(cid, ps[0][2].sign) for (kind, cid), ps in code.where.items()
+            if kind == CLASSICAL]
 
 
 def _resolution_sum(code: PassCode, resolve, base: PassCode, probes,

@@ -1,14 +1,17 @@
 """Pass codes: parsing, relation extraction, and crossing resolution."""
 
+import random
+
 import pytest
 
 from semiquandles.algebra import BUILTIN_BUNDLES, builtin_bundle
 from semiquandles.diagram import (
-    Pass, PassCode, CodeError, parse_code, unknot, extract_relations,
-    flatten, smooth_at, glue_at, glue_kink, disjoint_unknot,
-    builtin_code,
+    _ROLES, BUILTIN_CODES, Pass, PassCode, CodeError, parse_code, unknot,
+    extract_relations, flatten, smooth_at, glue_at, glue_kink,
+    disjoint_unknot, builtin_code,
 )
-from semiquandles.present import (builtin as builtin_presentation,
+from semiquandles.present import (Presentation, Relation,
+                                  builtin as builtin_presentation,
                                   count_colorings, enhanced_invariant,
                                   parse_presentation)
 
@@ -48,6 +51,104 @@ def test_crossings_are_listed_once_in_first_appearance_order():
     assert code.crossings() == [("F", 2), ("V", 1), ("F", 1), ("S", 1)]
     assert code.crossing_count() == 4 and code.crossing_count("F") == 2
     assert unknot().crossings() == []
+
+
+def _scanned(code):
+    """The crossing map found by scanning the code pass by pass."""
+    where = {}
+    for ci, comp in enumerate(code.components):
+        for i, p in enumerate(comp):
+            where.setdefault(p.crossing, []).append((ci, i, p))
+    return where
+
+
+def _oracle_relations(code):
+    """Extraction by a label per (component, pass index) and the crossings
+    popped from a scanned position map in traversal order."""
+    labels = {}
+    for ci, comp in enumerate(code.components):
+        for i in range(max(len(comp), 1)):
+            labels[ci, i] = f"s{len(labels)}"
+
+    def in_label(ci, i):
+        return labels[ci, (i - 1) % len(code.components[ci])]
+
+    positions, relations = _scanned(code), []
+    for comp in code.components:
+        for p in comp:
+            ps = positions.pop(p.crossing, None)
+            if ps is None:
+                continue
+            if p.kind == "V":
+                for ci, i, q in ps:
+                    a, a_out = in_label(ci, i), labels[ci, i]
+                    relations.append(Relation("v", (a,), a_out) if q.role == "v+"
+                                     else Relation("v", (a_out,), a))
+                continue
+            (ci1, i1, p1), (ci2, i2, _) = ps
+            if p1.role != "sup":
+                (ci1, i1), (ci2, i2) = (ci2, i2), (ci1, i1)
+            a, a_out = in_label(ci1, i1), labels[ci1, i1]
+            b, b_out = in_label(ci2, i2), labels[ci2, i2]
+            op_sup, op_sub = ("up", "dn") if p.kind == "F" else ("hup", "hdn")
+            relations.append(Relation(op_sup, (a, b), a_out))
+            relations.append(Relation(op_sub, (b, a), b_out))
+    return Presentation(tuple(labels[k] for k in sorted(labels)), tuple(relations))
+
+
+def _random_code(seed):
+    """A seeded F/S/V code of at most 6 crossings on 1-4 components, some
+    of them kinks (both passes adjacent), some components free loops."""
+    rng = random.Random(seed)
+    segments = []
+    for cid in range(1, rng.randint(0, 6) + 1):
+        kind = rng.choice("FSV")
+        roles = list(_ROLES[kind])
+        rng.shuffle(roles)
+        passes = [Pass(kind, cid, role) for role in roles]
+        segments += [passes] if rng.random() < 0.25 else [[q] for q in passes]
+    rng.shuffle(segments)
+    comps = [[] for _ in range(rng.randint(1, 4))]
+    for seg in segments:
+        comps[rng.randrange(len(comps))] += seg
+    return PassCode(comps)
+
+
+RANDOM_CODES = [_random_code(seed) for seed in range(600)]
+
+
+def test_random_codes_cover_loops_kinks_and_links():
+    kinks = sum(any(a.crossing == b.crossing for a, b in zip(c, c[1:]))
+                for code in RANDOM_CODES for c in code.components)
+    loops = sum(not c for code in RANDOM_CODES for c in code.components)
+    assert kinks > 50 and loops > 50
+    assert {len(code.components) for code in RANDOM_CODES} == {1, 2, 3, 4}
+    assert {k for code in RANDOM_CODES for k, _ in code.where} == {"F", "S", "V"}
+
+
+def test_extract_relations_matches_the_scanning_oracle():
+    codes = [builtin_code(name) for name in BUILTIN_CODES] + [unknot(3)] + RANDOM_CODES
+    for code in codes:
+        got, want = extract_relations(code), _oracle_relations(code)
+        assert got.generators == want.generators, code.text()
+        assert got.relations == want.relations, code.text()
+
+
+def test_where_holds_each_crossing_once_in_first_appearance_order():
+    code = parse_code("comp: F2.sup V1.v+\ncomp:\ncomp: V1.v- S1.sub S1.sup F2.sub\n")
+    assert list(code.where.items()) == [
+        (("F", 2), [(0, 0, Pass("F", 2, "sup")), (2, 3, Pass("F", 2, "sub"))]),
+        (("V", 1), [(0, 1, Pass("V", 1, "v+")), (2, 0, Pass("V", 1, "v-"))]),
+        (("S", 1), [(2, 1, Pass("S", 1, "sub")), (2, 2, Pass("S", 1, "sup"))]),
+    ]
+    for code in RANDOM_CODES:
+        assert list(code.where.items()) == list(_scanned(code).items())
+        assert code.crossings() == list(code.where)
+    # the map takes no part in equality, hashing or the repr
+    code, twin = builtin_code("flat_kishino"), builtin_code("flat_kishino")
+    assert twin == code and hash(twin) == hash(code) and twin.where is not code.where
+    assert "where" not in repr(code)
+    assert unknot(2).where == {}
 
 
 def test_extract_relations_counts():
