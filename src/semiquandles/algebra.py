@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
 class StructureError(ValueError):
@@ -31,16 +31,17 @@ class AxiomError(ValueError):
 
 
 class ResourceBudgetExceeded(RuntimeError):
-    """Search node budget exhausted; carries the partial progress made."""
+    """Search node budget exhausted; carries the partial progress made.
+    message, when given, replaces the default text."""
 
-    def __init__(self, nodes: int, found: int, what: str = "structures"):
+    def __init__(self, nodes: int, found: int, what: str = "structures",
+                 message: str = ""):
         self.nodes = nodes
         self.found = found
-        super().__init__(f"stopped after {nodes} nodes ({found} {what} found)")
+        super().__init__(message or f"stopped after {nodes} nodes ({found} {what} found)")
 
 
-@dataclass(frozen=True, order=True)
-class Violation:
+class Violation(NamedTuple):
     axiom: str
     witness: tuple
 
@@ -60,18 +61,6 @@ def _raise_for(report: list) -> None:
 
 def _freeze(rows) -> tuple:
     return tuple(tuple(row) for row in rows)
-
-
-def _trusted(cls, **fields):
-    """A frozen cls from fields already frozen and proven to satisfy its
-    axioms, without the copy and the checks of its constructor.  Only the
-    enumerators build objects this way, for what their searches have
-    proved; the extension search sets the two fields of each of its many
-    leaves directly, without the keyword dict."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 def _structure_report(name: str, rows, n: int) -> list:
@@ -180,67 +169,64 @@ def check_virtual(up, dn, v, hup=None, hdn=None) -> list:
     return sorted(Violation(f"v.{named[k][0]}", (x + 1, y + 1)) for k, x, y in moved)
 
 
-@dataclass(frozen=True)
-class SemiquandleTable:
-    up: tuple
-    dn: tuple
+# The validated value types are tuples of their fields, frozen by __new__
+# and checked on construction; tuple.__new__(cls, fields) builds one without
+# the copy and the checks, as only the enumerators do, for what their
+# searches have proved.
 
-    def __post_init__(self):
-        object.__setattr__(self, "up", _freeze(self.up))
-        object.__setattr__(self, "dn", _freeze(self.dn))
+class SemiquandleTable(namedtuple("SemiquandleTable", "up dn")):
+    __slots__ = ()
+
+    def __new__(cls, up, dn):
+        self = tuple.__new__(cls, (_freeze(up), _freeze(dn)))
         _raise_for(check_semiquandle(self.up, self.dn))
+        return self
 
     @property
     def n(self) -> int:
         return len(self.up)
 
 
-@dataclass(frozen=True)
-class SingularExtension:
+class SingularExtension(namedtuple("SingularExtension", "hup hdn")):
     """The tables hup and hdn, not checked here: a StructureBundle built
     from them checks them against its table."""
 
-    hup: tuple
-    hdn: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "hup", _freeze(self.hup))
-        object.__setattr__(self, "hdn", _freeze(self.hdn))
+    def __new__(cls, hup, hdn):
+        return tuple.__new__(cls, (_freeze(hup), _freeze(hdn)))
 
     @property
     def n(self) -> int:
         return len(self.hup)
 
 
-@dataclass(frozen=True)
-class VirtualExtension:
+class VirtualExtension(namedtuple("VirtualExtension", "v")):
     """The permutation v, not checked here: a StructureBundle built from
     it checks it against its table."""
 
-    v: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "v", tuple(self.v))
+    def __new__(cls, v):
+        return tuple.__new__(cls, (tuple(v),))
 
     @property
     def n(self) -> int:
         return len(self.v)
 
 
-@dataclass(frozen=True)
-class StructureBundle:
+class StructureBundle(namedtuple("StructureBundle", "table singular virtual",
+                                 defaults=(None, None))):
     """A semiquandle with optional singular and virtual extensions.
 
     An absent extension is semantically the trivial one (hup = hdn =
     projection to the first argument, v = identity), but `ops` holds the
-    hat / v operations only when the extension is actually present.
+    hat / v operations only when the extension is actually present.  No
+    __slots__: the cached properties below live in the instance dict,
+    outside the fields.
     """
 
-    table: SemiquandleTable
-    singular: Optional[SingularExtension] = None
-    virtual: Optional[VirtualExtension] = None
-
-    def __post_init__(self):
+    def __init__(self, table, singular=None, virtual=None):
         if self.singular is not None:
             if self.singular.n != self.table.n:
                 raise StructureError("singular extension order mismatch")
@@ -394,6 +380,21 @@ def automorphisms(bundle: StructureBundle, node_budget: int = 100_000) -> list:
                 and (v is None or _relabeled(v, phi) == v)):
             found.append(tuple(x + 1 for x in phi))
     return found
+
+
+def _conjugacy_classes(autos: list) -> list:
+    """The least member of each conjugacy class of the sorted group autos
+    of 1-based permutations, sorted.  Conjugating a by g relabels a along
+    g.  The first member of a class met is its least, so each class is
+    listed once: taking the least over the group for every member costs
+    |Aut|^2 relabelings, 25 million on the order-7 projection table."""
+    group = [tuple(x - 1 for x in a) for a in autos]
+    reps, seen = [], set()
+    for a in group:
+        if a not in seen:
+            seen.update(_relabeled(a, g) for g in group)
+            reps.append(tuple(x + 1 for x in a))
+    return reps
 
 
 # ---------------------------------------------------------------------------

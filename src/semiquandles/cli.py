@@ -7,7 +7,9 @@ to stderr.  Exit codes: 0 success / valid, 1 invalid input, property
 failure or a closed stdout pipe, 2 usage error, 3 resource budget
 exceeded.  All output is byte-deterministic for fixed inputs, flags, and
 seeds.  The argument parser is built once per process, at the first
-call of `main`, and every later call reuses it.
+call of `main`, and every later call reuses it.  The modules that one
+verb alone runs (enumeration, moves, vassiliev) are imported by its
+handler, so the other verbs do not load them.
 """
 
 from __future__ import annotations
@@ -19,16 +21,14 @@ import os
 import sys
 from pathlib import Path
 
-from . import algebra, diagram, enumeration, moves, present
 from .algebra import (AxiomError, ResourceBudgetExceeded, StructureError,
                       StructureBundle, builtin_bundle, format_table_text,
-                      parse_table_text, automorphisms, BUILTIN_BUNDLES)
+                      parse_table_text, automorphisms, _conjugacy_classes,
+                      BUILTIN_BUNDLES)
 from .diagram import CodeError, parse_code, extract_relations
-from .enumeration import _conjugacy_classes, enumerate_semiquandles
-from .present import (PresentationError, MissingExtensionError,
+from .present import (Presentation, PresentationError, MissingExtensionError,
                       parse_presentation, count_colorings, enhanced_invariant,
                       builtin as builtin_presentation)
-from .vassiliev import distinguish
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -66,7 +66,7 @@ def _load_bundle(spec: str) -> StructureBundle:
         raise InvalidInput(f"{spec}: {e}") from None
 
 
-def _load_presentation(args) -> "present.Presentation":
+def _load_presentation(args) -> Presentation:
     """Presentation from --presentation, --code, or --builtin."""
     sources = [s for s in (args.presentation, args.code, args.builtin) if s]
     if len(sources) != 1:
@@ -127,10 +127,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .enumeration import MAX_ORDER, enumerate_semiquandles
+
     if args.n is None:
         raise UsageError("enumerate requires --n")
-    if not 1 <= args.n <= enumeration.MAX_ORDER:
-        raise InvalidInput(f"--n must be from 1 to {enumeration.MAX_ORDER}, "
+    if not 1 <= args.n <= MAX_ORDER:
+        raise InvalidInput(f"--n must be from 1 to {MAX_ORDER}, "
                            f"got {args.n}")
     found = []
     stream = enumerate_semiquandles(args.n, up_to_iso=args.iso, **_budget(args))
@@ -189,10 +191,12 @@ def _cmd_auto(args) -> int:
 
 
 def _cmd_moves_test(args) -> int:
+    from .moves import run_move_trials
+
     if args.trials < 0:
         raise InvalidInput(f"--trials must be at least 0, got {args.trials}")
     bundles = [(name, builtin_bundle(name)) for name in TRIAL_BUNDLES]
-    report = moves.run_move_trials(bundles, trials=args.trials, seed=args.seed)
+    report = run_move_trials(bundles, trials=args.trials, seed=args.seed)
     ok = not report["failures"]
     if args.json:
         _emit(report)
@@ -207,6 +211,8 @@ def _cmd_moves_test(args) -> int:
 
 
 def _cmd_vassiliev(args) -> int:
+    from .vassiliev import distinguish
+
     if not (args.k1 and args.k2):
         raise UsageError("vassiliev requires --k1 and --k2")
     try:

@@ -14,8 +14,8 @@ Codes are abstract Gauss-code-like objects: no planarity is checked.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from collections import namedtuple
+from typing import NamedTuple, Optional
 
 from .present import Presentation, Relation
 
@@ -33,8 +33,7 @@ class CodeError(ValueError):
     """Malformed code text or occurrence-invariant violation."""
 
 
-@dataclass(frozen=True)
-class Pass:
+class Pass(NamedTuple):
     kind: str
     cid: int
     role: str
@@ -53,17 +52,19 @@ class Pass:
 _PASS_RE = re.compile(r"^([FSVC])(\d+)\.(sup|sub|v\+|v-|over|under)([+-]?)$")
 
 
-@dataclass(frozen=True)
-class PassCode:
-    components: tuple      # tuple of tuples of Pass
-    # crossing -> its two passes as (component, index, pass), in order of
-    # first appearance; built by _validate, read-only
-    where: dict = field(init=False, compare=False, repr=False)
+class PassCode(namedtuple("PassCode", "components")):
+    """components: a tuple of tuples of Pass.  where: crossing -> its two
+    passes as (component, index, pass), in order of first appearance;
+    built by _validate, read-only, and kept outside the one field, so out
+    of equality, hash and repr."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "components",
-                           tuple(tuple(c) for c in self.components))
-        object.__setattr__(self, "where", _validate(self.components))
+    def __new__(cls, components):
+        self = tuple.__new__(cls, (tuple(map(tuple, components)),))
+        vars(self)["where"] = _validate(self.components)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to PassCode.{name}")
 
     @property
     def is_classical(self) -> bool:

@@ -28,18 +28,16 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (_FLAT_AXIOMS, _HAT_AXIOMS, ResourceBudgetExceeded,
-                      SemiquandleTable, SingularExtension, _relabeled, _trusted,
-                      _zero_based)
+                      SemiquandleTable, SingularExtension, _relabeled, _zero_based)
 
 # enumerate_semiquandles builds 3n^3 + 2n^2 axiom checks before its first node
 MAX_ORDER = 16
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Lexicographically least simultaneous relabeling of a table pair,
     as 0-based tables.
 
@@ -220,7 +218,7 @@ def enumerate_semiquandles(n: int, up_to_iso: bool = False,
             if any(len(set(column)) < n for column in zip(*dn)):
                 continue
             up_rows = tuple(tuple(v + 1 for v in row[:n]) for row in up[:n])
-            table = _trusted(SemiquandleTable, up=up_rows, dn=dn)
+            table = tuple.__new__(SemiquandleTable, (up_rows, dn))
             if up_to_iso:
                 key = CanonicalForm.of(table)
                 if key in seen:
@@ -386,9 +384,8 @@ def enumerate_singular_extensions(table: SemiquandleTable,
     hup, hdn = [None] * n, [None] * n
     finish = [[(hdn if k >= n else hup, k % n, span) for k, span in cell] for cell in finish]
     last = n * n - 1
-    # the leaves are proved: build them as _trusted does, without its
-    # keyword dict
-    new, setfield = object.__new__, object.__setattr__
+    # the leaves are proved: built without the constructor's copy
+    new = tuple.__new__
     nodes = found = 0
     c = 0
     while c >= 0:
@@ -413,23 +410,5 @@ def enumerate_singular_extensions(table: SemiquandleTable,
                 c += 1
             else:
                 found += 1
-                leaf = new(SingularExtension)
-                setfield(leaf, "hup", tuple(hup))
-                setfield(leaf, "hdn", tuple(hdn))
-                yield leaf
-
-
-def _conjugacy_classes(autos: list) -> list:
-    """The least member of each conjugacy class of the sorted group autos
-    of 1-based permutations, sorted.  Conjugating a by g relabels a along
-    g.  The first member of a class met is its least, so each class is
-    listed once: taking the least over the group for every member costs
-    |Aut|^2 relabelings, 25 million on the order-7 projection table."""
-    group = [tuple(x - 1 for x in a) for a in autos]
-    reps, seen = [], set()
-    for a in group:
-        if a not in seen:
-            seen.update(_relabeled(a, g) for g in group)
-            reps.append(tuple(x + 1 for x in a))
-    return reps
+                yield new(SingularExtension, (tuple(hup), tuple(hdn)))
 

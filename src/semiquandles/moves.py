@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import (_ROLES, FLAT, SING, VIRT, Pass, PassCode,
                       component_text, extract_relations)
@@ -48,8 +48,7 @@ class MoveError(ValueError):
     """Move pattern does not match the code at the given site."""
 
 
-@dataclass(frozen=True, order=True)
-class MoveSpec:
+class MoveSpec(NamedTuple):
     """One applicable move: id, direction, site, and oriented variant.
 
     Sites are tuples of (component index, pass index) positions: for

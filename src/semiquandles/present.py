@@ -15,9 +15,9 @@ builtin one, share them; a bundle built for one call pays for them once.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import (EXTENSION_OF, ResourceBudgetExceeded, StructureBundle,
                       subclosure)
@@ -31,8 +31,7 @@ class MissingExtensionError(LookupError):
     """The presentation uses operations the bundle does not carry."""
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     kind: str            # up | dn | hup | hdn | v
     args: tuple          # (a, b) for binary kinds, (a,) for v
     result: str
@@ -41,12 +40,10 @@ class Relation:
         return self.args + (self.result,)
 
 
-@dataclass(frozen=True)
-class Presentation:
-    generators: tuple
-    relations: tuple
+class Presentation(namedtuple("Presentation", "generators relations")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, generators, relations):
         declared = set(self.generators)
         for rel in self.relations:
             for lab in rel.labels():
@@ -120,8 +117,7 @@ def parse_presentation(text: str) -> Presentation:
 # ---------------------------------------------------------------------------
 # invariants
 
-@dataclass(frozen=True)
-class InvariantResult:
+class InvariantResult(NamedTuple):
     count: int
     image_sizes: tuple      # sorted multiset of |Im(f)|
     polynomial: str
@@ -464,8 +460,9 @@ def enhanced_invariant(p: Presentation, bundle: StructureBundle,
     by OR-convolution, and each final mask is closed once per bundle
     (`StructureBundle._image_sizes`).  The searches
     share node_budget as in `count_colorings`; since the result lists one
-    size per coloring, a product of counts above node_budget raises
-    ResourceBudgetExceeded too, reporting that product as found.
+    size per coloring, a count above node_budget raises
+    ResourceBudgetExceeded too, once every piece is searched, so that a
+    piece without colorings still gives 0.
     """
     budget = _Budget(node_budget)
     hist, total = {0: 1}, 1
@@ -480,13 +477,14 @@ def enhanced_invariant(p: Presentation, bundle: StructureBundle,
                     mask |= d
                 piece[mask] = piece.get(mask, 0) + 1
         total *= sum(piece.values())
-        if total > node_budget:
-            raise ResourceBudgetExceeded(budget.nodes, total, "colorings")
         joined = {}
         for a, ka in hist.items():
             for b, kb in piece.items():
                 joined[a | b] = joined.get(a | b, 0) + ka * kb
         hist = joined
+    if total > node_budget:
+        raise ResourceBudgetExceeded(budget.nodes, total, message=f"{total} colorings, "
+                                     f"more than the budget of {node_budget}")
     closed = bundle._image_sizes
     sizes = []
     for mask, k in hist.items():

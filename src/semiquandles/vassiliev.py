@@ -13,7 +13,7 @@ stays inconclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import StructureBundle
 from .diagram import (PassCode, CodeError, extract_relations, flatten,
@@ -22,8 +22,7 @@ from .diagram import (PassCode, CodeError, extract_relations, flatten,
 from .present import NODE_BUDGET, MissingExtensionError, enhanced_invariant
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(NamedTuple):
     """Tuple of enhanced-invariant polynomials, one per probe bundle.
 
     Comparable only across the same probe list; inequality of the

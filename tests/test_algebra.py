@@ -13,9 +13,13 @@ from semiquandles.algebra import (
     subclosure, automorphisms,
     make_constant_action, make_operator_singular,
     trivial_singular, identity_perm, perm_from_cycles, perm_inverse,
-    format_table_text, parse_table_text, builtin_bundle, BUILTIN_BUNDLES,
+    format_table_text, parse_table_text, builtin_bundle, BUILTIN_BUNDLES, Violation,
 )
-from semiquandles.enumeration import enumerate_semiquandles
+from semiquandles.diagram import Pass, PassCode, parse_code
+from semiquandles.enumeration import CanonicalForm, enumerate_semiquandles
+from semiquandles.moves import MoveSpec
+from semiquandles.present import InvariantResult, Presentation, Relation
+from semiquandles.vassiliev import Fingerprint
 
 T4 = builtin_bundle("t4")
 T4S = builtin_bundle("t4_sing")
@@ -281,3 +285,47 @@ def test_with_trivial_extensions_is_built_once():
     for name in BUILTIN_BUNDLES:
         b = builtin_bundle(name)
         assert b.with_trivial_extensions() is b.with_trivial_extensions()
+
+
+def test_value_types_are_immutable_and_hash_and_print_as_their_fields():
+    one = ((1,),)
+    bundle = StructureBundle(SemiquandleTable(one, one), SingularExtension(one, one),
+                             VirtualExtension((1,)))
+    bundle.ops     # what the bundle keeps for its readers is not a field
+    code = parse_code("comp: F1.sup F1.sub\n")
+    rel = Relation("up", ("a", "b"), "c")
+    values = [
+        (Violation("0", ("up", 1)), ("axiom", "witness")),
+        (bundle.table, ("up", "dn")),
+        (bundle.singular, ("hup", "hdn")),
+        (bundle.virtual, ("v",)),
+        (bundle, ("table", "singular", "virtual")),
+        (Pass("F", 1, "sup"), ("kind", "cid", "role", "sign")),
+        (code, ("components",)),
+        (rel, ("kind", "args", "result")),
+        (Presentation(("a", "b", "c"), (rel,)), ("generators", "relations")),
+        (InvariantResult(1, (1,), "z"), ("count", "image_sizes", "polynomial")),
+        (MoveSpec("fR1", "insert", ((0, 0),), "sup_first"), ("move", "direction", "site", "variant")),
+        (Fingerprint(("z",)), ("polynomials",)),
+        (CanonicalForm(((0,),), ((0,),)), ("up", "dn")),
+    ]
+    for x, names in values:
+        fields = tuple(getattr(x, f) for f in names)
+        assert hash(x) == hash(fields)
+        assert type(x)(*fields) == x
+        for f in names:
+            with pytest.raises(AttributeError):
+                setattr(x, f, getattr(x, f))
+    with pytest.raises(AttributeError):
+        code.where = {}
+    assert repr(Pass("C", 2, "over", -1)) == "Pass(kind='C', cid=2, role='over', sign=-1)"
+    assert repr(code) == ("PassCode(components=((Pass(kind='F', cid=1, role='sup', sign=0), "
+                          "Pass(kind='F', cid=1, role='sub', sign=0)),))")
+    assert repr(MoveSpec("fR1", "insert", ((0, 0),), "sup_first")) == (
+        "MoveSpec(move='fR1', direction='insert', site=((0, 0),), variant='sup_first')")
+    assert repr(bundle) == ("StructureBundle(table=SemiquandleTable(up=((1,),), dn=((1,),)), "
+                            "singular=SingularExtension(hup=((1,),), hdn=((1,),)), "
+                            "virtual=VirtualExtension(v=(1,)))")
+    # MoveSpec and Violation order by their fields, in field order
+    assert MoveSpec("fR1", "delete", ((0, 1),), "b") < MoveSpec("fR1", "insert", ((0, 0),), "a")
+    assert sorted([Violation("i", (1, 1)), Violation("0", ("up", 2))])[0].axiom == "0"

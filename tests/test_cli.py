@@ -331,6 +331,21 @@ def test_poly_refuses_more_colorings_than_the_budget_at_once(capsys):
     assert err.startswith("budget exceeded:") and len(err.splitlines()) == 1
 
 
+def test_poly_budget_message_names_the_colorings_and_the_budget(capsys, tmp_path):
+    # no search runs on unlink(9): the free labels alone give 4^9 colorings
+    rc, out, err = run(capsys, "poly", "--table", "t4", "--builtin", "unlink(9)")
+    assert rc == 3 and not out
+    assert err == "budget exceeded: 262144 colorings, more than the budget of 100000\n"
+    rc, out, err = run(capsys, "count", "--table", "t4", "--builtin", "unlink(9)")
+    assert rc == 0 and not err and json.loads(out) == {"count": 262144}
+    # 3^11 free colorings times none of up(x,y)=x, which ca3 never satisfies
+    f = tmp_path / "empty.txt"
+    f.write_text("gens: a b c d e f g h i j k x y\nup(x,y)=x\n")
+    rc, out, err = run(capsys, "poly", "--table", "ca3", "--presentation", str(f))
+    assert rc == 0 and not err
+    assert json.loads(out) == {"count": 0, "image_sizes": [], "polynomial": "0"}
+
+
 # ---------------------------------------------------------------------------
 # auto
 

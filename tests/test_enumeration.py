@@ -9,14 +9,15 @@ import pytest
 import semiquandles.algebra as algebra
 import semiquandles.enumeration as enumeration
 from semiquandles.algebra import (_FLAT_AXIOMS, _HAT_AXIOMS, BUILTIN_BUNDLES, SemiquandleTable,
-                                  StructureBundle, automorphisms, builtin_bundle,
+                                  StructureBundle, _conjugacy_classes,
+                                  automorphisms, builtin_bundle,
                                   check_semiquandle, check_singular,
                                   check_virtual, make_constant_action,
                                   perm_inverse, SingularExtension)
 from semiquandles.cli import main
 from semiquandles.enumeration import (
     CanonicalForm, ResourceBudgetExceeded, _column_check, _hat_check, _hat_env,
-    _conjugacy_classes, _hat_search_plan,
+    _hat_search_plan,
     enumerate_semiquandles, enumerate_singular_extensions,
 )
 
@@ -498,8 +499,8 @@ def test_virtual_structures_relabel_each_class_once(monkeypatch):
     rows = tuple(tuple(x for _ in range(6)) for x in range(1, 7))
     bundle = StructureBundle(SemiquandleTable(rows, rows))
     calls = []
-    relabeled = enumeration._relabeled
-    monkeypatch.setattr(enumeration, "_relabeled",
+    relabeled = algebra._relabeled
+    monkeypatch.setattr(algebra, "_relabeled",
                         lambda *a: calls.append(a) or relabeled(*a))
     reps = _conjugacy_classes(automorphisms(bundle))
 

@@ -703,11 +703,16 @@ def test_move_tables_are_pinned():
 
 
 def test_importing_the_cli_builds_no_move_table():
-    # a fresh interpreter, since this one has built them
+    # a fresh interpreter, since this one has loaded every module; the CLI
+    # loads a verb's own module only when that verb runs, and no module
+    # loads dataclasses
     src = str(Path(moves.__file__).resolve().parent.parent)
-    probe = ("import semiquandles.cli, semiquandles.moves as m; "
-             "print([f.cache_info().currsize for f in (m._rewrites, m._tables_of)])")
+    probe = ("import sys; before = set(sys.modules); import semiquandles.cli; "
+             "print(sorted(set(sys.modules) - before & {'semiquandles.moves', "
+             "'semiquandles.enumeration', 'semiquandles.vassiliev', 'dataclasses'})); "
+             "import semiquandles; m = semiquandles.moves; print(m.MOVE_IDS[0], "
+             "[f.cache_info().currsize for f in (m._rewrites, m._tables_of)])")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[0, 0]\n"
+    assert proc.stdout == "[]\nfR1 [0, 0]\n"
