@@ -708,7 +708,7 @@ def test_importing_the_cli_builds_no_move_table():
     # loads dataclasses
     src = str(Path(moves.__file__).resolve().parent.parent)
     probe = ("import sys; before = set(sys.modules); import semiquandles.cli; "
-             "print(sorted(set(sys.modules) - before & {'semiquandles.moves', "
+             "print(sorted((set(sys.modules) - before) & {'semiquandles.moves', "
              "'semiquandles.enumeration', 'semiquandles.vassiliev', 'dataclasses'})); "
              "import semiquandles; m = semiquandles.moves; print(m.MOVE_IDS[0], "
              "[f.cache_info().currsize for f in (m._rewrites, m._tables_of)])")
