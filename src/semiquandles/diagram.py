@@ -194,7 +194,7 @@ def extract_relations(code: PassCode) -> Presentation:
             op_sup, op_sub = ("up", "dn") if kind == FLAT else ("hup", "hdn")
             relations.append(Relation(op_sup, (a, b), a_out))
             relations.append(Relation(op_sub, (b, a), b_out))
-    return Presentation(tuple(f"s{j}" for j in range(k)), tuple(relations))
+    return Presentation((f"s{j}" for j in range(k)), relations)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,12 @@ build what they yield without the checks of the public constructors, and
 carry an explicit node budget (one candidate column tuple for
 semiquandles, a pruned block counting one per candidate in it; one value
 tried in one hup cell for extensions); exceeding it raises instead of
-truncating silently.
+truncating silently.  Up to isomorphism, the column search keeps only
+the first table of each class in its order: it prunes a block once
+column 0 is later than the least conjugate some relabeling makes of a
+set column, and tests each leaf against every relabeling.  A block
+pruned so counts one node per candidate too, so the budget stops where
+the labeled search with a dedup at its leaves stops.
 """
 
 from __future__ import annotations
@@ -54,6 +59,49 @@ class CanonicalForm(NamedTuple):
         up, dn = _zero_based(table.up), _zero_based(table.dn)
         return cls(*min((_relabeled(up, phi), _relabeled(dn, phi))
                         for phi in itertools.permutations(range(table.n))))
+
+
+def _least_conjugate(p: tuple, j: int) -> tuple:
+    """The least psi∘p∘psi⁻¹ over the relabelings psi with psi(j) = 0,
+    which is where psi moves column j of up when p is that column: j's
+    cycle on 0 -> 1 -> ... -> L-1 -> 0, then the other cycles of p, each
+    on the next labels in turn, shortest first."""
+    lengths, seen = [], [False] * len(p)
+    for x in (j, *range(len(p))):
+        length = 0
+        while not seen[x]:
+            seen[x] = True
+            x = p[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    lengths[1:] = sorted(lengths[1:])
+    least, start = [], 0
+    for length in lengths:
+        least += range(start + 1, start + length)
+        least.append(start)
+        start += length
+    return tuple(least)
+
+
+def _first_of_class(columns: list) -> bool:
+    """Whether no relabeling psi gives an earlier tuple of the columns of
+    up, psi moving column j to psi(j) as psi∘columns[j]∘psi⁻¹: the
+    relabelings are tried lazily, each only up to its first column that
+    differs."""
+    n = len(columns)
+    inv = [0] * n
+    for psi in itertools.permutations(range(n)):
+        for x, image in enumerate(psi):
+            inv[image] = x
+        for k in range(n):
+            column = columns[inv[k]]
+            moved = tuple(psi[column[inv[i]]] for i in range(n))
+            if moved != columns[k]:
+                if moved < columns[k]:
+                    return False
+                break
+    return True
 
 
 def _instances(axioms, n: int, derived: str):
@@ -162,9 +210,18 @@ def enumerate_semiquandles(n: int, up_to_iso: bool = False,
     node is one candidate column tuple, counted whether it is checked or
     pruned with its block, so the budget is exceeded at the same
     candidate, with the same tables yielded, as when every candidate is
-    checked; order 5 needs (5!)^5 nodes for its 2,640 tables.  With
-    up_to_iso, one representative per isomorphism class is yielded (the
-    first in enumeration order).
+    checked; order 5 needs (5!)^5 nodes for its 2,640 tables.
+
+    With up_to_iso, the first table of each isomorphism class in that
+    order is yielded.  A relabeling psi carries column j of up to
+    position psi(j) as psi∘col_j∘psi⁻¹, so once column c is set and
+    column 0 is later than _least_conjugate(col_c, c), every table
+    below has an earlier isomorph.  That block is pruned and counted as
+    one node per candidate, like a block an axiom prunes, so the budget
+    stops at the same candidate, with the same tables yielded, as a
+    dedup of the labeled search would.  A leaf is kept when no
+    relabeling gives an earlier tuple of columns (_first_of_class), so
+    no state is kept per class.
     """
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be from 1 to {MAX_ORDER}, got {n}")
@@ -180,8 +237,8 @@ def enumerate_semiquandles(n: int, up_to_iso: bool = False,
         check, columns = _column_check(axiom, len(w))
         filed[max(w[k] for k in columns)].append(functools.partial(check, up, invs, n, *w))
     below = [math.factorial(n) ** (n - 1 - c) for c in range(n)]
+    cols = [None] * n       # cols[c]: column c of up, once set
     nodes = found = 0
-    seen = set()
 
     def search(c, pending):
         # set column c to each permutation and run the pending checks:
@@ -189,6 +246,7 @@ def enumerate_semiquandles(n: int, up_to_iso: bool = False,
         # at the next column; all is known after the last column
         nonlocal nodes, found
         for column in itertools.permutations(range(n)):
+            cols[c] = column
             inverse = list(unknown)
             for row, v in enumerate(column):
                 inverse[v] = row
@@ -202,6 +260,11 @@ def enumerate_semiquandles(n: int, up_to_iso: bool = False,
                 elif not held:
                     holds = False
                     break
+            else:
+                # a relabeling with psi(c) = 0 makes column 0 the least
+                # conjugate of column c: if that is earlier, so is a
+                # relabeling of every table below
+                holds = not (up_to_iso and cols[0] > _least_conjugate(column, c))
             if holds and c + 1 < n:
                 yield from search(c + 1, filed[c + 1] + retried)
                 continue
@@ -217,15 +280,11 @@ def enumerate_semiquandles(n: int, up_to_iso: bool = False,
             # ii.a by the derivation of dn, and every other instance has held
             if any(len(set(column)) < n for column in zip(*dn)):
                 continue
+            if up_to_iso and not _first_of_class(cols):
+                continue
             up_rows = tuple(tuple(v + 1 for v in row[:n]) for row in up[:n])
-            table = tuple.__new__(SemiquandleTable, (up_rows, dn))
-            if up_to_iso:
-                key = CanonicalForm.of(table)
-                if key in seen:
-                    continue
-                seen.add(key)
             found += 1
-            yield table
+            yield tuple.__new__(SemiquandleTable, (up_rows, dn))
         for row in up:
             row[c] = n
         invs[c] = unknown

@@ -43,12 +43,14 @@ class Relation(NamedTuple):
 class Presentation(namedtuple("Presentation", "generators relations")):
     __slots__ = ()
 
-    def __init__(self, generators, relations):
+    def __new__(cls, generators, relations):
+        self = tuple.__new__(cls, (tuple(generators), tuple(relations)))
         declared = set(self.generators)
         for rel in self.relations:
             for lab in rel.labels():
                 if lab not in declared:
                     raise PresentationError(f"undeclared generator {lab!r}")
+        return self
 
     def kinds_used(self) -> frozenset:
         return frozenset(rel.kind for rel in self.relations)
@@ -111,7 +113,7 @@ def parse_presentation(text: str) -> Presentation:
         extra = [g for g in generators if g not in declared]
         if extra:
             raise PresentationError(f"labels {extra} not in gens: declaration")
-    return Presentation(tuple(generators), tuple(relations))
+    return Presentation(generators, relations)
 
 
 # ---------------------------------------------------------------------------

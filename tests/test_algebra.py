@@ -304,6 +304,7 @@ def test_value_types_are_immutable_and_hash_and_print_as_their_fields():
         (code, ("components",)),
         (rel, ("kind", "args", "result")),
         (Presentation(("a", "b", "c"), (rel,)), ("generators", "relations")),
+        (Presentation(["a", "b", "c"], [rel]), ("generators", "relations")),
         (InvariantResult(1, (1,), "z"), ("count", "image_sizes", "polynomial")),
         (MoveSpec("fR1", "insert", ((0, 0),), "sup_first"), ("move", "direction", "site", "variant")),
         (Fingerprint(("z",)), ("polynomials",)),
@@ -318,6 +319,11 @@ def test_value_types_are_immutable_and_hash_and_print_as_their_fields():
                 setattr(x, f, getattr(x, f))
     with pytest.raises(AttributeError):
         code.where = {}
+    # a presentation built from lists holds tuples, so no relation can be
+    # added after its labels were checked
+    listed = Presentation(["a", "b", "c"], [rel])
+    assert listed == Presentation(("a", "b", "c"), (rel,))
+    assert type(listed.generators) is type(listed.relations) is tuple
     assert repr(Pass("C", 2, "over", -1)) == "Pass(kind='C', cid=2, role='over', sign=-1)"
     assert repr(code) == ("PassCode(components=((Pass(kind='F', cid=1, role='sup', sign=0), "
                           "Pass(kind='F', cid=1, role='sub', sign=0)),))")

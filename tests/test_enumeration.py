@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -16,8 +17,8 @@ from semiquandles.algebra import (_FLAT_AXIOMS, _HAT_AXIOMS, BUILTIN_BUNDLES, Se
                                   perm_inverse, SingularExtension)
 from semiquandles.cli import main
 from semiquandles.enumeration import (
-    CanonicalForm, ResourceBudgetExceeded, _column_check, _hat_check, _hat_env,
-    _hat_search_plan,
+    CanonicalForm, ResourceBudgetExceeded, _column_check, _first_of_class, _hat_check,
+    _hat_env, _hat_search_plan, _least_conjugate,
     enumerate_semiquandles, enumerate_singular_extensions,
 )
 
@@ -104,6 +105,54 @@ def test_order4_tables_and_classes():
     keys = [CanonicalForm.of(t) for t in enumerate_semiquandles(4, up_to_iso=True)]
     assert len(keys) == 23 == len(set(keys))
     assert set(keys) == {CanonicalForm.of(t) for t in tables}
+
+
+def conjugate(p, psi):
+    """Oracle: the permutation psi∘p∘psi⁻¹, all 0-based."""
+    inv = perm_inverse([x + 1 for x in psi])
+    return tuple(psi[p[inv[i] - 1]] for i in range(len(p)))
+
+
+def test_least_conjugate_is_the_least_over_the_relabelings():
+    # read from the cycle type, it is the least psi∘p∘psi⁻¹ over every
+    # psi that moves j to 0
+    for n in range(1, 6):
+        relabelings = list(itertools.permutations(range(n)))
+        for p in itertools.permutations(range(n)):
+            for j in range(n):
+                want = min(conjugate(p, psi) for psi in relabelings if psi[j] == 0)
+                assert _least_conjugate(p, j) == want
+
+
+def test_leaf_test_keeps_the_first_table_of_each_class():
+    # a labeled table passes exactly when no earlier table of the labeled
+    # search has its canonical form
+    for n in range(1, 5):
+        seen, firsts = set(), 0
+        for t in enumerate_semiquandles(n):
+            key = CanonicalForm.of(t)
+            columns = [tuple(row[c] - 1 for row in t.up) for c in range(n)]
+            assert _first_of_class(columns) == (key not in seen)
+            firsts += key not in seen
+            seen.add(key)
+        assert firsts == (1, 2, 5, 23)[n - 1]
+
+
+def test_class_totals_and_order_4_classes_are_pinned():
+    # Σ n!/|Aut| over the classes counts the labeled tables, and the
+    # order-4 classes' canonical forms are pinned by their SHA-256
+    for n, labeled in ((2, 2), (3, 12), (4, 168)):
+        classes = list(enumerate_semiquandles(n, up_to_iso=True))
+        assert sum(math.factorial(n) // len(automorphisms(StructureBundle(t)))
+                   for t in classes) == labeled
+    keys = [CanonicalForm.of(t) for t in classes]
+    assert hashlib.sha256(repr(sorted((k.up, k.dn) for k in keys)).encode()).hexdigest() == (
+        "69dd3b41762108949ac7e39afeae390b1fab80811a8f0b731cd832bc2eee47ab")
+    # the first node counted, before any table or relabeling, passes a
+    # budget of 0 at the largest order
+    with pytest.raises(ResourceBudgetExceeded) as e:
+        next(enumerate_semiquandles(enumeration.MAX_ORDER, up_to_iso=True, node_budget=0))
+    assert (e.value.nodes, e.value.found) == (1, 0)
 
 
 def test_the_searches_call_no_checker(monkeypatch):
