@@ -4,6 +4,8 @@ The invariants are computed piece by piece: labels that no chain of
 relations joins color independently, so the count is the product of the
 pieces' counts and the enhanced invariant joins the pieces' value-set
 histograms.  `colorings` lists each coloring of a whole presentation.
+The search keeps each constraint's live rows as a bitmask from node to
+node and narrows it only where a domain narrows (`_arc_consistent`).
 
 What the solver derives from a bundle alone is built on first use and
 kept with the bundle object, as `bundle.ops` is: each constraint table
@@ -287,37 +289,37 @@ def _bits(d: int) -> tuple:
     return tuple(out)
 
 
-def _arc_consistent(constraints, watchers, domains: list, queue, full: int) -> bool:
-    """Narrow domains in place until every constraint is generalized
-    arc consistent, starting from the constraints in queue.
+def _arc_consistent(constraints, watchers, domains: list, lives: list, queue) -> bool:
+    """Narrow domains and live row masks in place until every constraint
+    is generalized arc consistent, revising the constraints in queue, and
+    those it requeues, in any order.
 
-    A constraint's live rows are those whose every value lies in its
-    label's domain (the AND of rows[dom] over its labels); each of its
-    labels keeps only the values some live row carries (vals[live]), and
-    a label that shrinks queues the other constraints that watch it.
-    Returns False when some constraint has no live row.
+    lives[c] holds the rows of constraint c whose every value lies in its
+    label's domain.  As in Compact-Table (Demeulenaere et al., CP 2016),
+    it is narrowed where a domain narrows, not rebuilt from every label:
+    a revision of c narrows each label to the values its live rows carry
+    there (vals[lives[c]]), and a label narrowed to kept ANDs rows[kept]
+    into each other watcher's mask, queueing it if the mask changed.
+    Returns False as soon as some mask is empty.
     """
-    pending = list(queue)
-    queued = set(pending)
+    pending = set(queue)
     while pending:
         c = pending.pop()
-        queued.discard(c)
-        scope, rows, vals, live = constraints[c]
-        for lab, rows_in in zip(scope, rows):
-            dom = domains[lab]
-            if dom != full:
-                live &= rows_in[dom]
-        if not live:
+        if not lives[c]:
             return False
-        # every live row's values lie in the domains, so vals[live] is
-        # the subset of each domain that some live row supports
-        for lab, kept in zip(scope, vals[live]):
+        scope, _, vals, _ = constraints[c]
+        # every live row's values lie in the domains, so vals[lives[c]] do too
+        for lab, kept in zip(scope, vals[lives[c]]):
             if kept != domains[lab]:
                 domains[lab] = kept
-                for other in watchers[lab]:
-                    if other != c and other not in queued:
-                        queued.add(other)
-                        pending.append(other)
+                for other, rows_in in watchers[lab]:
+                    if other != c:      # c's own live rows all carry kept
+                        narrowed = lives[other] & rows_in[kept]
+                        if not narrowed:
+                            return False
+                        if narrowed != lives[other]:
+                            lives[other] = narrowed
+                            pending.add(other)
     return True
 
 
@@ -333,10 +335,13 @@ def _search(constraints, size: int, full: int, budget: _Budget):
     """Yield the domains of each solution of constraints over labels
     0..size-1, every domain then one bit, deterministically.
 
-    Propagation makes every constraint generalized arc consistent: it
-    drops each value no row of the constraint supports within the current
-    domains, and requeues the constraints that watch a label it narrowed.
-    The search then branches on the open label with the smallest domain
+    Each node is made generalized arc consistent (`_arc_consistent`) and
+    carries its domains and live row masks.  The root queues every
+    constraint with all its rows live; a child copies its parent's, ANDs
+    its branch value into the masks of the branch label's watchers and
+    queues them.  Arc consistency has one fixpoint in any revision order,
+    so the nodes are those of rebuilding every mask from the domains.  The
+    search then branches on the open label with the smallest domain
     (ties to the first label), trying its values in ascending order.
 
     A node is one domain state the search propagates: the root, or one
@@ -345,29 +350,36 @@ def _search(constraints, size: int, full: int, budget: _Budget):
     ResourceBudgetExceeded, after the solutions found so far.
     """
     watchers = [[] for _ in range(size)]
-    for c, (scope, _, _, _) in enumerate(constraints):
-        for lab in scope:
-            watchers[lab].append(c)
-    stack = [([full] * size, range(len(constraints)))]
+    for c, (scope, rows, _, _) in enumerate(constraints):
+        for lab, rows_in in zip(scope, rows):
+            watchers[lab].append((c, rows_in))
+    stack = [([full] * size, [con[3] for con in constraints], range(len(constraints)))]
     nodes, limit = budget.nodes, budget.limit
     while stack:
-        domains, queue = stack.pop()
+        domains, lives, queue = stack.pop()
         nodes += 1
         if nodes > limit:
             raise ResourceBudgetExceeded(nodes, budget.found, "colorings")
-        if not _arc_consistent(constraints, watchers, domains, queue, full):
+        if not _arc_consistent(constraints, watchers, domains, lives, queue):
             continue
-        _, branch = min(((d.bit_count(), lab) for lab, d in enumerate(domains)
-                         if d & (d - 1)), default=(0, None))
+        branch, least = None, full.bit_length() + 1
+        for lab, d in enumerate(domains):
+            if d & (d - 1) and d.bit_count() < least:
+                branch, least = lab, d.bit_count()
         if branch is None:
             budget.nodes = nodes
             budget.found += 1
             yield domains
             continue
+        # at a consistent node each watcher's live rows carry every value
+        # of the branch domain, so the branch value changes every mask
+        queue = [c for c, _ in watchers[branch]]
         for bit, _ in reversed(_bits(domains[branch])):
-            child = domains.copy()
+            child, masks = domains.copy(), lives.copy()
             child[branch] = bit
-            stack.append((child, watchers[branch]))
+            for c, rows_in in watchers[branch]:
+                masks[c] &= rows_in[bit]
+            stack.append((child, masks, queue))
     budget.nodes = nodes
 
 

@@ -495,20 +495,63 @@ def test_propagation_matches_plain_gac_on_random_domains():
             p = extract_relations(random_code(budget, seed=rng.randrange(2 ** 30)))
             constraints = present._constraints(p, bundle)
             tables = [(con[0], table_rows(con)) for con in constraints]
-            watchers = [[c for c, con in enumerate(constraints) if lab in con[0]]
+            watchers = [[(c, rows[scope.index(lab)])
+                         for c, (scope, rows, _, _) in enumerate(constraints)
+                         if lab in scope]
                         for lab in range(len(p.generators))]
             for _ in range(8):
                 domains = [full if rng.random() < 0.5 else rng.randint(1, full)
                            for _ in p.generators]
                 expected = plain_gac(tables, domains, n)
-                ok = present._arc_consistent(constraints, watchers, domains,
-                                             range(len(constraints)), full)
+                lives = []
+                for scope, rows, _, live in constraints:
+                    for lab, rows_in in zip(scope, rows):
+                        live &= rows_in[domains[lab]]
+                    lives.append(live)
+                ok = present._arc_consistent(constraints, watchers, domains, lives,
+                                             range(len(constraints)))
                 assert ok == (expected is not None)
                 if ok:
                     assert domains == expected
                 verdicts[ok] += 1
         assert memo_entries_checked(bundle) >= 100
     assert min(verdicts.values()) >= 100, verdicts
+
+
+def test_kept_live_masks_equal_the_masks_rebuilt_from_the_domains(monkeypatch):
+    """The slow oracle of the kept masks: at every node the search makes
+    consistent, each constraint's mask is the AND over its labels of the
+    rows whose value lies in the label's domain, read off the supports."""
+    fast, checked = present._arc_consistent, []
+
+    def rebuilt(constraints, watchers, domains, lives, queue):
+        ok = fast(constraints, watchers, domains, lives, queue)
+        if ok:
+            for (scope, rows, _, want), live in zip(constraints, lives):
+                for lab, rows_in in zip(scope, rows):
+                    inside = 0
+                    for x, support in enumerate(rows_in.support):
+                        if domains[lab] >> x & 1:
+                            inside |= support
+                    want &= inside
+                assert live == want
+            checked.append(len(lives))
+        return ok
+    monkeypatch.setattr(present, "_arc_consistent", rebuilt)
+    rng = random.Random(20261022)
+    for kinds, name in (("F", "t4"), ("F", "ts3_v13"), ("FS", "t4_sing"),
+                        ("FS", "ca3_op"), ("FV", "ts3_v13")):
+        bundle = builtin_bundle(name)
+        for _ in range(12):
+            budget = {kind: 4 for kind in kinds}
+            budget["components"] = rng.randint(1, 3)
+            p = extract_relations(random_code(budget, seed=rng.randrange(2 ** 30)))
+            listed = sorted(len(subclosure(bundle, set(f.values())))
+                            for f in colorings(p, bundle))
+            assert count_colorings(p, bundle) == len(listed)
+            assert list(enhanced_invariant(p, bundle).image_sizes) == listed
+    # fixpoints reached, and the masks checked at them
+    assert len(checked) >= 2000 and sum(checked) >= 8000, (len(checked), sum(checked))
 
 
 def test_order_16_trivial_table_colors_each_component_once():
